@@ -1,15 +1,32 @@
-"""Small dense linear solvers: ordinary least squares and L1-regularized
-regression by cyclic coordinate descent, plus the shrinking-penalty schedule
-that retries a failed sparse fit at successively weaker regularization.
+"""Small dense linear solvers: ordinary least squares, and L1-regularized
+regression by an exact active-set method with the shrinking-penalty schedule
+that weakens the regularization until some weight survives.
 
 The L1 objective is (1/(2n))*||X w + b - y||^2 + lambda*||w||_1 with the bias
 unpenalized. Features are standardized internally (zero mean, unit variance;
 constant columns are pinned to coefficient 0) so the penalty behaves the same
 across datasets; coefficients are mapped back to raw feature space on return.
+On the standardized design z the objective is (1/2) w'Gw - q'w + lambda*||w||_1
+plus a constant, with G = z'z/n and q = z'(y - mean(y))/n, so a fit needs only
+the cached Gram matrix and one product with the targets.
+
+The solver is the active-set method of Osborne, Presnell & Turlach (2000),
+close to LARS (Efron et al. 2004). With the gradient c = q - Gw, it keeps a
+support A with signs theta on which c_A = lambda*theta_A, that is
+G_AA w_A = q_A - lambda*theta_A, and enters the zero coordinate whose |c_j|
+exceeds lambda the most, along the direction that holds c_A fixed. If a
+support coordinate would change sign first, the move stops at its zero
+crossing, drops it and solves the smaller support afresh. Every step lowers
+the objective, so no solved support repeats and the method ends at the
+optimum, within the KKT slack of its stopping test. A column in the span
+of the support (duplicated or complemented +/-1 columns, p > n) enters along
+a null-space direction of z, which lowers only the penalty, until a support
+coordinate crosses zero and is swapped out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +57,14 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class LassoConfig:
+    """Penalty schedule and solver limits. ``lambda0`` is the first penalty of
+    a run, divided by ``divisor`` while a fit at it would be all-zero, at most
+    ``max_halvings`` times per fit. ``cd_max_iters`` caps the active-set steps
+    of one fit, each entering or dropping a coordinate; a fit at the cap is
+    flagged not converged. ``cd_tol`` is the KKT slack: a converged fit has
+    |c_j| <= lambda + cd_tol at every zero coordinate. The names are kept so
+    that recorded manifests still load."""
+
     lambda0: float = 1e5
     divisor: float = 1.5
     max_halvings: int = 200
@@ -62,8 +87,7 @@ class LinearFit:
     w: np.ndarray
     b: float
     converged: bool = True
-    n_sweeps: int = 0
-    objective_trace: list[float] | None = None
+    n_steps: int = 0
 
 
 @dataclass
@@ -73,14 +97,6 @@ class ScheduledFit:
     used_lambda: float
     has_nonzero: bool
     converged: bool
-
-
-def soft_threshold(x: float, lam: float) -> float:
-    if x > lam:
-        return x - lam
-    if x < -lam:
-        return x + lam
-    return 0.0
 
 
 class StandardizedDesign:
@@ -96,19 +112,25 @@ class StandardizedDesign:
         self.n, self.p = x.shape
         self.center = center
         self.mean = x.mean(axis=0) if center else np.zeros(self.p)
-        scale = x.std(axis=0)
-        self.active = scale > 0.0
-        self.scale = np.where(self.active, scale, 1.0)
+        # A constant column can have a rounding-level std (0.1 repeated 60
+        # times has 4e-17), so constancy is read from the values instead.
+        varies = (x != x[0]).any(axis=0)
+        self.scale = np.where(varies, x.std(axis=0), 1.0)
         self.z = (x - self.mean) / self.scale
-        if not center:
-            # Constant nonzero columns carry no variance; without centering they
-            # would leak raw magnitudes, so zero them like centered ones.
-            self.z[:, ~self.active] = 0.0
+        # Zeroed, a constant column has exactly zero Gram row and correlation,
+        # so no fit ever moves its weight.
+        self.z[:, ~varies] = 0.0
         self.gram = self.z.T @ self.z / self.n
-        self.diag = np.ascontiguousarray(np.diag(self.gram))
+
+    def correlations(self, targets: np.ndarray) -> tuple[float, np.ndarray]:
+        """Target mean and q = z'(y - mean)/n, the right-hand side of every
+        lasso fit of these targets on this design."""
+        y = np.asarray(targets, dtype=float)
+        y_mean = float(y.mean()) if self.center else 0.0
+        return y_mean, self.z.T @ (y - y_mean) / self.n
 
     def unstandardize(self, w_std: np.ndarray, target_mean: float) -> tuple[np.ndarray, float]:
-        w_raw = np.where(self.active, w_std / self.scale, 0.0)
+        w_raw = w_std / self.scale
         b = target_mean - float(w_raw @ self.mean) if self.center else 0.0
         return w_raw, b
 
@@ -146,66 +168,99 @@ def least_squares_fit(problem: RegressionProblem) -> LinearFit:
     return LinearFit(w, b)
 
 
-def _cd_fit(
+def _active_set_fit(
     design: StandardizedDesign,
-    targets: np.ndarray,
+    y_mean: float,
+    q: np.ndarray,
     lam: float,
     cfg: LassoConfig,
-    trace: bool = False,
 ) -> LinearFit:
-    y = np.asarray(targets, dtype=float)
-    y_mean = float(y.mean()) if design.center else 0.0
-    yc = y - y_mean
-    q = design.z.T @ yc / design.n
     gram = design.gram
-    diag = design.diag
-    p = design.p
-    w = np.zeros(p)
-    gw = np.zeros(p)  # gram @ w, maintained incrementally
-    objectives: list[float] | None = [] if trace else None
+    w = np.zeros(design.p)
+    support: list[int] = []
+    idx = np.array(support, dtype=np.intp)
+    solved = True  # w solves G_AA w_A = q_A - lam*theta_A on the support
     converged = False
-    sweeps = 0
-    for _ in range(cfg.cd_max_iters):
-        max_delta = 0.0
-        for j in range(p):
-            dj = diag[j]
-            if dj <= 0.0:
-                continue
-            rho = q[j] - gw[j] + dj * w[j]
-            new = soft_threshold(rho, lam) / dj
-            delta = new - w[j]
-            if delta != 0.0:
-                gw += gram[:, j] * delta
-                w[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        sweeps += 1
-        if objectives is not None:
-            resid = yc - design.z @ w
-            objectives.append(
-                float(resid @ resid) / (2 * design.n) + lam * float(np.sum(np.abs(w)))
-            )
-        if max_delta < cfg.cd_tol:
-            converged = True
+    steps = 0
+    while True:
+        if solved:
+            c = q - gram @ w if support else q
+            excess = np.abs(c)
+            excess[idx] = 0.0
+            j = int(excess.argmax())
+            gap = float(excess[j]) - lam
+            # The empty support is kept only when it is exactly optimal, so a
+            # fit is all-zero exactly when lam >= max |q_j|.
+            if gap <= (cfg.cd_tol if support else 0.0):
+                converged = True
+                break
+        if steps == cfg.cd_max_iters:
             break
+        steps += 1
+        if not support:
+            w[j] = math.copysign(gap / gram[j, j], c[j])
+            support.append(j)
+            idx = np.array(support, dtype=np.intp)
+            continue
+        w_a = w[idx]
+        # The support moves to w_a - t*rate for t in [0, end], cut short
+        # where a support coordinate reaches zero.
+        if solved:
+            # Enter j with the sign s of its gradient, w_j = s*t. Along this
+            # direction the objective has slope -gap and curvature d2, the
+            # squared distance of column j from the span of the support.
+            s = math.copysign(1.0, c[j])
+            g = gram[idx, j]
+            if idx.size == 1:
+                u = g / gram[idx, idx]  # np.linalg.solve would cost more than the step
+            else:
+                u = np.linalg.solve(gram.take(idx, 0).take(idx, 1), g)
+            d2 = gram[j, j] - float(g @ u)
+            rate = u if s > 0.0 else -u
+            end = gap / d2 if d2 > 0.0 else math.inf
+        else:
+            sub = gram.take(idx, 0).take(idx, 1)
+            rate = w_a - np.linalg.solve(sub, q[idx] - lam * np.sign(w_a))
+            end = 1.0
+        shrink = rate / w_a  # share of each w_k removed per unit of t
+        pos = int(shrink.argmax())
+        crosses = float(shrink[pos]) * end >= 1.0
+        if crosses:
+            t = 1.0 / float(shrink[pos])
+        elif math.isinf(end):
+            break  # column j lies in the span, yet nothing crosses: rounding only
+        else:
+            t = end
+        moved = w_a - t * rate
+        if crosses:
+            # Drop the crossing coordinate and any that rounding put at zero.
+            moved[pos] = 0.0
+            for k in idx[moved == 0.0].tolist():
+                support.remove(k)
+        w[idx] = moved
+        if solved:
+            w[j] = s * t
+            support.append(j)
+        idx = np.array(support, dtype=np.intp)
+        solved = not crosses or not support
     w_raw, b = design.unstandardize(w, y_mean)
-    return LinearFit(w_raw, b, converged, sweeps, objectives)
+    return LinearFit(w_raw, b, converged, steps)
 
 
 def lasso_fit(
     problem: RegressionProblem,
     lam: float,
     cfg: LassoConfig | None = None,
-    trace: bool = False,
 ) -> LinearFit:
-    """Cyclic coordinate descent with soft thresholding; thresholded
-    coordinates are exact zeros. At lam=0 this converges to the least-squares
-    solution on full-rank problems."""
+    """Exact L1-regularized fit by the active-set method; coordinates off the
+    support are exact zeros. At lam=0 this is the least-squares solution on
+    full-rank problems."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     cfg = cfg or LassoConfig()
     design = StandardizedDesign(problem.design, center=problem.fit_bias)
-    return _cd_fit(design, problem.targets, lam, cfg, trace=trace)
+    y_mean, q = design.correlations(problem.targets)
+    return _active_set_fit(design, y_mean, q, lam, cfg)
 
 
 def scheduled_lasso_fit(
@@ -214,18 +269,22 @@ def scheduled_lasso_fit(
     cfg: LassoConfig,
     current_lambda: float,
 ) -> ScheduledFit:
-    """Fit at current_lambda, dividing the penalty by cfg.divisor after every
-    all-zero weight vector, until some weight survives or the halving budget
-    runs out (then the zero fit is returned, flagged)."""
+    """Fit at the first penalty of current_lambda, current_lambda/divisor, ...
+    at which some weight survives, dividing at most cfg.max_halvings times;
+    when the budget runs out the zero fit is returned, flagged. A fit is
+    all-zero exactly when the penalty is at least max_j |q_j|, so the
+    divisions are counted without fitting and only the last penalty is
+    solved."""
     if current_lambda <= 0:
         raise ValueError("current_lambda must be positive")
+    y_mean, q = design.correlations(targets)
+    q_max = float(np.max(np.abs(q)))
     lam = current_lambda
-    fit = _cd_fit(design, targets, lam, cfg)
     halvings = 0
-    while not np.any(fit.w != 0.0) and halvings < cfg.max_halvings:
+    while lam >= q_max and halvings < cfg.max_halvings:
         lam /= cfg.divisor
         halvings += 1
-        fit = _cd_fit(design, targets, lam, cfg)
+    fit = _active_set_fit(design, y_mean, q, lam, cfg)
     return ScheduledFit(fit.w, fit.b, lam, bool(np.any(fit.w != 0.0)), fit.converged)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingAbort, ZeroWeightVector
+from .errors import ConfigError, SolverError, TrainingAbort, ZeroWeightVector
 from .model import (
     SIGN,
     BannModel,
@@ -255,10 +255,16 @@ class LayerState:
 
     def fit_hyperplane(self) -> tuple[np.ndarray, float]:
         """Sparse fit for the normal direction (bias discarded), then the
-        exact split search for the bias. Advances the penalty schedule."""
+        exact split search for the bias. Advances the penalty schedule.
+        Raises SolverError when the lasso solve hits its step cap."""
         sched = scheduled_lasso_fit(
             self.design, self._stacked_targets(), self.lasso_cfg, self.current_lambda
         )
+        if not sched.converged:
+            raise SolverError(
+                f"lasso solve at lambda {sched.used_lambda!r} did not converge within "
+                f"{self.lasso_cfg.cd_max_iters} steps"
+            )
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
             raise ZeroWeightVector("penalty schedule exhausted with all-zero weights")

@@ -5,7 +5,8 @@ dataset-scale envelope (criterion 7) trains on the diabetes regression data
 bundled with scikit-learn and on a synthetic plant-measurement dataset of the
 same shape as the combined-cycle power plant benchmark (9568 rows, 4
 features); published per-dataset numbers are treated as envelopes, not exact
-targets, since the original splits are not available.
+targets, since the original splits are not available. The two envelopes are
+separate tests, so the plant envelope runs where scikit-learn is missing.
 """
 
 import time
@@ -292,7 +293,19 @@ def _run_envelope(dataset: Dataset, seed: int):
     return mse(model, test), depth, width
 
 
-def test_criterion_7_dataset_envelopes():
+def test_criterion_7_plant_envelope():
+    start = time.perf_counter()
+    plant_mse, plant_depth, plant_width = _run_envelope(_plant_measurements(), 0)
+    elapsed = time.perf_counter() - start
+    _report(
+        7,
+        plant_mse <= 3 * 17.18 and elapsed < 300,
+        f"plant-scale test mse {plant_mse:.2f} (<= {3 * 17.18:.2f}, depth "
+        f"{plant_depth}, width {plant_width}), {elapsed:.0f}s (< 300s)",
+    )
+
+
+def test_criterion_7_diabetes_envelope():
     sklearn_datasets = pytest.importorskip("sklearn.datasets")
     start = time.perf_counter()
     raw = sklearn_datasets.load_diabetes()
@@ -307,17 +320,12 @@ def test_criterion_7_dataset_envelopes():
     assert median_mse <= 6000.0, f"diabetes median test mse {median_mse}"
     assert median_depth == 1, f"diabetes median depth {median_depth}"
     assert max(widths) <= 30, f"diabetes widths {widths}"
-
-    plant_mse, plant_depth, plant_width = _run_envelope(_plant_measurements(), 0)
-    assert plant_mse <= 3 * 17.18, f"plant-scale test mse {plant_mse}"
     elapsed = time.perf_counter() - start
     _report(
         7,
         elapsed < 300,
         f"diabetes median test mse {median_mse:.1f} (<= 6000), median depth "
-        f"{median_depth}, widths {widths} (<= 30); plant-scale test mse "
-        f"{plant_mse:.2f} (<= {3 * 17.18:.2f}, depth {plant_depth}, width "
-        f"{plant_width}), {elapsed:.0f}s (< 300s)",
+        f"{median_depth}, widths {widths} (<= 30), {elapsed:.0f}s (< 300s)",
     )
 
 

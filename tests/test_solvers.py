@@ -121,14 +121,58 @@ def test_lasso_kkt_conditions_random_problems():
         assert kkt_violation(X, y, fit.w, lam) <= 1e-6
 
 
-def test_lasso_objective_non_increasing_across_sweeps():
+def standardized_objective(z, y, w, lam):
+    resid = (y - y.mean()) - z @ w
+    return float(resid @ resid) / (2 * len(y)) + lam * float(np.sum(np.abs(w)))
+
+
+def test_lasso_objective_minimal_along_every_coordinate():
+    # The objective is convex and its nonsmooth part is separable, so a point
+    # that no coordinate move improves is the global minimum.
     rng = np.random.default_rng(7)
     for _ in range(10):
         X = rng.normal(size=(40, 6))
         y = X @ rng.normal(size=6) + rng.normal(size=40)
-        fit = lasso_fit(RegressionProblem(X, y), 0.05, trace=True)
-        trace = np.array(fit.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12 * max(1.0, trace[0]))
+        fit = lasso_fit(RegressionProblem(X, y), 0.05)
+        z, _, scale = standardized(X)
+        w = fit.w * scale
+        best = standardized_objective(z, y, w, 0.05)
+        for j in range(6):
+            for step in (1e-6, -1e-6):
+                moved = w.copy()
+                moved[j] += step
+                assert best <= standardized_objective(z, y, moved, 0.05)
+
+
+def plus_minus_one(rng, n, p):
+    return np.where(rng.normal(size=(n, p)) < 0.0, -1.0, 1.0)
+
+
+def test_lasso_kkt_on_degenerate_gram_matrices():
+    rng = np.random.default_rng(13)
+    base = plus_minus_one(rng, 60, 5)
+    y = base @ rng.normal(size=5) + rng.normal(size=60)
+    problems = [
+        (np.column_stack([base, base[:, 1], base[:, 1], base[:, 3]]), y),
+        (np.column_stack([base, -base[:, 1], -base[:, 3]]), y),
+        (np.column_stack([base[:, :2], np.full(60, 0.1), base[:, 2:]]), y),
+    ]
+    wide = plus_minus_one(rng, 30, 80)
+    problems.append((wide, wide @ rng.normal(size=80) + rng.normal(size=30)))
+    for X, targets in problems:
+        for lam in (0.5, 0.05, 1e-3):
+            fit = lasso_fit(RegressionProblem(X, targets), lam)
+            assert fit.converged
+            assert kkt_violation(X, targets, fit.w, lam) <= 1e-6
+
+
+def test_lasso_constant_column_stays_zero():
+    # 0.1 repeated 60 times has a rounding-level std of 4e-17
+    rng = np.random.default_rng(14)
+    X = np.column_stack([rng.normal(size=60), np.full(60, 0.1)])
+    y = 2.0 * X[:, 0] + rng.normal(size=60)
+    for lam in (0.0, 1e-3, 0.5):
+        assert lasso_fit(RegressionProblem(X, y), lam).w[1] == 0.0
 
 
 def test_lasso_support_nested_along_schedule():

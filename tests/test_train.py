@@ -9,6 +9,7 @@ from bannet import (
     LassoConfig,
     LayerState,
     Neuron,
+    SolverError,
     TrainConfig,
     ZeroWeightVector,
     build_layer,
@@ -161,6 +162,17 @@ def test_fit_hyperplane_zero_residuals_signal():
 
 def layer_state(features, targets, seed_lambda=1e5):
     return LayerState(features, targets, LassoConfig(), seed_lambda)
+
+
+def test_fit_hyperplane_raises_on_non_converged_solve():
+    rng = np.random.default_rng(40)
+    features = rng.normal(size=(200, 3))
+    targets = 3.0 * features[:, 0] + 3.0 * features[:, 1] + 0.1 * rng.normal(size=200)
+    w, _, _ = fit_hyperplane(features, targets, LassoConfig(), 1e5)
+    assert np.count_nonzero(w) >= 2
+    cfg = TrainConfig(max_hidden_layers=1, lasso=LassoConfig(cd_max_iters=1))
+    with pytest.raises(SolverError):
+        build_layer(features, targets, None, None, cfg)
 
 
 def test_add_neuron_zeroes_residual_sums():
