@@ -6,6 +6,11 @@ arrangement; grouping dataset rows by their activation pattern at depth k
 yields a partition. No network sharing those layers can do better on the
 training set than predicting the per-region label mean (squared error) or the
 per-region majority label (0-1 error), which gives computable lower bounds.
+
+A partition is stored as one region id per row. Rows are grouped by packing
+each activation pattern into bits and sorting the packed keys once, and the
+floors are per-region sums taken with ``np.bincount``, so neither step loops
+over rows or regions in Python.
 """
 
 from __future__ import annotations
@@ -20,40 +25,52 @@ from .model import BannModel, Dataset, hidden_pattern
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Rows grouped by their exact activation pattern after hidden layer k."""
+    """Rows grouped by their exact activation pattern after hidden layer k.
+
+    ``region[i]`` is the region of row i. Regions are numbered 0 to
+    ``n_regions - 1`` in the order of their first row.
+    """
 
     layer_depth: int
-    patterns: tuple[tuple[float, ...], ...]
-    indices: tuple[np.ndarray, ...]
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.indices)
+    region: np.ndarray
+    n_regions: int
 
     @property
     def n_rows(self) -> int:
-        return sum(len(idx) for idx in self.indices)
+        return self.region.shape[0]
+
+    @property
+    def indices(self) -> tuple[np.ndarray, ...]:
+        """Row indices of each region, ascending, regions in id order."""
+        order = np.argsort(self.region, kind="stable")
+        ends = np.cumsum(np.bincount(self.region, minlength=self.n_regions))
+        return tuple(np.split(order, ends[:-1]))
 
 
 def partition_regions(model: BannModel, dataset: Dataset, k: int) -> RegionPartition:
     """Group dataset rows by equality of their layer-k activation pattern.
 
     Exact equality is safe: activation outputs are drawn from a two-element
-    set, so patterns are discrete.
+    set, so a pattern is fully described by which units output h2.
     """
     patterns = hidden_pattern(model, dataset.features, k)
-    groups: dict[bytes, list[int]] = {}
-    for i in range(patterns.shape[0]):
-        groups.setdefault(patterns[i].tobytes(), []).append(i)
-    keys = list(groups)  # first-occurrence order; deterministic
-    width = patterns.shape[1]
-    return RegionPartition(
-        layer_depth=k,
-        patterns=tuple(
-            tuple(np.frombuffer(key, dtype=float, count=width)) for key in keys
-        ),
-        indices=tuple(np.array(groups[key], dtype=int) for key in keys),
-    )
+    bits = np.packbits(patterns == model.activation.h2, axis=1)
+    if bits.shape[1] <= 8:
+        # Up to 64 units: one machine word per row sorts fastest.
+        words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+        words[:, : bits.shape[1]] = bits
+        keys = words.view(np.uint64).reshape(-1)
+    else:
+        keys = np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(first.shape[0], dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    return RegionPartition(k, rank[inverse], int(first.shape[0]))
+
+
+def _check_rows(partition: RegionPartition, m: int) -> None:
+    if partition.n_rows != m:
+        raise DataError(f"partition covers {partition.n_rows} rows, labels have {m}")
 
 
 def regression_lower_bound(partition: RegionPartition, labels: np.ndarray) -> float:
@@ -65,15 +82,14 @@ def regression_lower_bound(partition: RegionPartition, labels: np.ndarray) -> fl
     if labels.ndim == 1:
         labels = labels[:, None]
     m = labels.shape[0]
-    if partition.n_rows != m:
-        raise DataError(
-            f"partition covers {partition.n_rows} rows, labels have {m}"
-        )
-    bound = 0.0
-    for idx in partition.indices:
-        region = labels[idx]
-        bound += len(idx) / m * float(np.var(region, axis=0).sum())
-    return bound
+    _check_rows(partition, m)
+    region, n = partition.region, partition.n_regions
+    sizes = np.bincount(region, minlength=n)
+    means = np.column_stack(
+        [np.bincount(region, weights=col, minlength=n) / sizes for col in labels.T]
+    )
+    dev = labels - means[region]
+    return float(np.sum(dev * dev)) / m
 
 
 def classification_lower_bound(partition: RegionPartition, labels: np.ndarray) -> float:
@@ -84,14 +100,10 @@ def classification_lower_bound(partition: RegionPartition, labels: np.ndarray) -
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise DataError("classification bound requires labels exactly in {-1, +1}")
     m = labels.shape[0]
-    if partition.n_rows != m:
-        raise DataError(
-            f"partition covers {partition.n_rows} rows, labels have {m}"
-        )
-    weighted = sum(
-        len(idx) / m * abs(float(labels[idx].mean())) for idx in partition.indices
-    )
-    return (1.0 - weighted) / 2.0
+    _check_rows(partition, m)
+    # A region of size n_r with label sum s_r weighs n_r/m * |s_r/n_r| = |s_r|/m.
+    sums = np.bincount(partition.region, weights=labels, minlength=partition.n_regions)
+    return (1.0 - float(np.sum(np.abs(sums))) / m) / 2.0
 
 
 def bound_chain(model: BannModel, dataset: Dataset) -> list[tuple[int, int, float]]:

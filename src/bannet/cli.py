@@ -142,21 +142,29 @@ def run_train(manifest: RunManifest) -> int:
     return 0
 
 
-def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
+def _load_model_and_data(model_path: str, data_path: str, labels: str | None):
+    """Load a saved model and a CSV whose feature width matches it; labels
+    default to the model's trailing output count."""
     model = load_model(model_path)
     data = load_csv(data_path, labels if labels is not None else model.out_width)
     if data.n_features != model.in_width:
         raise DataError(
             f"model expects {model.in_width} features, data has {data.n_features}"
         )
+    return model, data
+
+
+def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
+    model, data = _load_model_and_data(model_path, data_path, labels)
     if data.n_labels != model.out_width:
         raise DataError(
             f"model outputs {model.out_width} values, data has {data.n_labels} labels"
         )
-    pred = forward(model, data.features)
-    per_output = np.mean((pred - data.labels) ** 2, axis=0)
-    print(f"mse: {mse(model, data)!r}")
-    print("per-output mse: " + ", ".join(repr(float(v)) for v in per_output))
+    diff = forward(model, data.features) - data.labels
+    sq = diff * diff
+    # The same expression as model.mse, so the printed bytes match it.
+    print(f"mse: {float(np.sum(sq) / data.m)!r}")
+    print("per-output mse: " + ", ".join(repr(float(v)) for v in np.sum(sq, axis=0) / data.m))
     for k, count, _ in bound_chain(model, data):
         print(f"regions at depth {k}: {count}")
     print(f"nonzero parameters: {count_nonzero_parameters(model)}")
@@ -164,12 +172,7 @@ def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
 
 
 def run_bounds(model_path: str, data_path: str, labels: str | None) -> int:
-    model = load_model(model_path)
-    data = load_csv(data_path, labels if labels is not None else model.out_width)
-    if data.n_features != model.in_width:
-        raise DataError(
-            f"model expects {model.in_width} features, data has {data.n_features}"
-        )
+    model, data = _load_model_and_data(model_path, data_path, labels)
     print("k,region_count,bound")
     for k, count, bound in bound_chain(model, data):
         print(f"{k},{count},{bound!r}")

@@ -82,8 +82,31 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
             raise DataError(f"{path}: no feature columns left")
     feature_idx = [i for i in range(n_cols) if i not in label_idx]
 
-    values = np.empty((len(rows) - 1, n_cols))
-    for r, row in enumerate(rows[1:], start=2):
+    body = rows[1:]
+    try:
+        values = np.array(body, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(body), n_cols):
+        values = _parse_cells(path, header, body)
+    if values.shape[0] < 1:
+        raise DataError(f"{path}: no data rows")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: non-finite values present")
+
+    return Dataset(
+        values[:, feature_idx],
+        values[:, label_idx],
+        feature_names=tuple(header[i] for i in feature_idx),
+        label_names=tuple(header[i] for i in label_idx),
+    )
+
+
+def _parse_cells(path: str, header: list[str], body: list[list[str]]) -> np.ndarray:
+    """Cell-by-cell parse that reports the first bad row or cell in file order."""
+    n_cols = len(header)
+    values = np.empty((len(body), n_cols))
+    for r, row in enumerate(body, start=2):
         if len(row) != n_cols:
             raise DataError(f"{path}: line {r} has {len(row)} cells, expected {n_cols}")
         for c, cell in enumerate(row):
@@ -96,17 +119,7 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
                 raise DataError(
                     f"{path}: line {r}, column {header[c]!r}: non-numeric cell {cell!r}"
                 )
-    if values.shape[0] < 1:
-        raise DataError(f"{path}: no data rows")
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: non-finite values present")
-
-    return Dataset(
-        values[:, feature_idx],
-        values[:, label_idx],
-        feature_names=tuple(header[i] for i in feature_idx),
-        label_names=tuple(header[i] for i in label_idx),
-    )
+    return values
 
 
 def split_dataset(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -193,8 +193,8 @@ def fit_hyperplane(
     current_lambda: float,
 ) -> tuple[np.ndarray, float, float]:
     """One-shot hyperplane fit: sparse regression for the normal (multivariate
-    residuals are stacked as one scalar-target row per output coordinate),
-    then the exact bias search. Returns (w, b, lambda actually used)."""
+    residuals are fitted through their row mean), then the exact bias search.
+    Returns (w, b, lambda actually used)."""
     state = LayerState(features, residuals, cfg, current_lambda)
     w, b = state.fit_hyperplane()
     return w, b, state.current_lambda
@@ -222,9 +222,13 @@ def units_to_layer(neurons: list[Neuron]) -> tuple[LayerParams, np.ndarray, np.n
 class LayerState:
     """Mutable bookkeeping while one hidden layer grows.
 
-    The regression design (the layer inputs, duplicated once per output
-    coordinate for multivariate targets) is fixed for the whole layer, so its
-    standardization and Gram matrix are computed once up front.
+    The regression design (the layer inputs) is fixed for the whole layer,
+    so its standardization and Gram matrix are computed once up front.
+
+    With dl output coordinates, the lasso fit of the design stacked dl times
+    against the stacked residual columns has the same Gram matrix and the
+    same correlations as the fit of the design against the row mean of the
+    residuals, so the row mean is what gets fitted.
     """
 
     def __init__(
@@ -241,24 +245,18 @@ class LayerState:
         self.m, self.dl = self.residuals.shape
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
-        stacked = self.features if self.dl == 1 else np.tile(self.features, (self.dl, 1))
-        self.design = StandardizedDesign(stacked)
+        self.design = StandardizedDesign(self.features)
         self.neurons: list[Neuron] = []
 
     def train_mse(self) -> float:
         return float(np.sum(self.residuals * self.residuals) / self.m)
-
-    def _stacked_targets(self) -> np.ndarray:
-        if self.dl == 1:
-            return self.residuals[:, 0]
-        return self.residuals.T.reshape(-1)
 
     def fit_hyperplane(self) -> tuple[np.ndarray, float]:
         """Sparse fit for the normal direction (bias discarded), then the
         exact split search for the bias. Advances the penalty schedule.
         Raises SolverError when the lasso solve hits its step cap."""
         sched = scheduled_lasso_fit(
-            self.design, self._stacked_targets(), self.lasso_cfg, self.current_lambda
+            self.design, self.residuals.mean(axis=1), self.lasso_cfg, self.current_lambda
         )
         if not sched.converged:
             raise SolverError(

@@ -5,12 +5,14 @@ import pytest
 
 from bannet import (
     SIGN,
+    ActivationParams,
     BannModel,
     DataError,
     Dataset,
     LayerParams,
     bound_chain,
     classification_lower_bound,
+    hidden_pattern,
     mse,
     partition_regions,
     regression_lower_bound,
@@ -29,6 +31,63 @@ def exhaustive_zero_one_floor(partition, labels):
             errors += int(np.sum(labels[idx] != value))
         best = min(best, errors / len(labels))
     return best
+
+
+def reference_indices(model, dataset, k):
+    """Row indices per region, grouped one row at a time by the pattern's
+    bytes; regions in first-occurrence order."""
+    patterns = hidden_pattern(model, dataset.features, k)
+    groups = {}
+    for i in range(patterns.shape[0]):
+        groups.setdefault(patterns[i].tobytes(), []).append(i)
+    return [np.array(rows, dtype=int) for rows in groups.values()]
+
+
+def reference_regression_floor(indices, labels):
+    m = labels.shape[0]
+    return sum(len(idx) / m * float(np.var(labels[idx], axis=0).sum()) for idx in indices)
+
+
+def reference_classification_floor(indices, labels):
+    m = labels.shape[0]
+    return (1.0 - sum(len(idx) / m * abs(float(labels[idx].mean())) for idx in indices)) / 2.0
+
+
+def model_with_widths(rng, widths, activation):
+    layers = [
+        LayerParams(rng.normal(size=(widths[k + 1], widths[k])), rng.normal(size=widths[k + 1]))
+        for k in range(len(widths) - 1)
+    ]
+    return BannModel(activation, tuple(layers[:-1]), layers[-1])
+
+
+@pytest.mark.parametrize(
+    "activation", [SIGN, ActivationParams(0.5, 0.0, 1.0), ActivationParams(-1.0, -2.0, 3.0)]
+)
+def test_partition_and_floors_match_row_loop_reference(activation):
+    rng = np.random.default_rng(12)
+    hidden_widths = [[65], [130], [3, 65, 2], [130, 64], [1], [8, 8, 8]]
+    for hidden in hidden_widths:
+        for m in (1, 2, 40, 400):
+            d0, dl = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            model = model_with_widths(rng, [d0, *hidden, dl], activation)
+            # Few distinct inputs, so regions hold several rows each.
+            pool = rng.normal(size=(max(1, m // 4), d0))
+            x = pool[rng.integers(0, pool.shape[0], m)]
+            data = Dataset(x, rng.normal(size=(m, dl)))
+            signs = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
+            for k in range(1, len(hidden) + 1):
+                part = partition_regions(model, data, k)
+                want = reference_indices(model, data, k)
+                assert part.n_regions == len(want)
+                assert part.n_rows == m
+                assert all(np.array_equal(a, b) for a, b in zip(part.indices, want))
+                assert regression_lower_bound(part, data.labels) == pytest.approx(
+                    reference_regression_floor(want, data.labels), rel=1e-12, abs=1e-300
+                )
+                assert classification_lower_bound(part, signs) == pytest.approx(
+                    reference_classification_floor(want, signs), rel=0, abs=1e-12
+                )
 
 
 def test_width_one_layer_gives_at_most_two_regions():

@@ -47,6 +47,55 @@ def test_load_csv_non_numeric_cell(tmp_path):
         load_csv(str(path), 1)
 
 
+def test_load_csv_ragged_row_names_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5\n7,8,9\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 3 has 2 cells, expected 3"):
+        load_csv(str(path), 1)
+    # Every row equally short: numpy parses a rectangle of the wrong width.
+    path.write_text("a,b,y\n1,2\n4,5\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2 has 2 cells, expected 3"):
+        load_csv(str(path), 1)
+
+
+def test_load_csv_padded_and_quoted_cells_parse_like_float(tmp_path):
+    cells = [" 1.5 ", "\t-2", '"3.25"', '" 4e-1 "', "0.1", "1e-310", "1_000",
+             "123456789012345678901234567890", "+7.", " -0 "]
+    path = tmp_path / "d.csv"
+    path.write_text("a,y\n" + "".join(f"{cell},1\n" for cell in cells), encoding="utf-8")
+    data = load_csv(str(path), 1)
+    unquoted = [cell.replace('"', "") for cell in cells]
+    want = np.array([float(cell.strip()) for cell in unquoted])
+    assert np.array_equal(data.features[:, 0].view(np.int64), want.view(np.int64))
+
+
+def test_load_csv_bad_cell_deep_in_large_file(tmp_path):
+    rows = [[i, 0.5 * i, 1.0] for i in range(6000)]
+    rows[4998][1] = "oops"  # data row 4999 sits on line 5000
+    path = tmp_path / "d.csv"
+    write_csv(path, ["a", "b", "y"], rows)
+    with pytest.raises(DataError, match="line 5000, column 'b': non-numeric cell 'oops'"):
+        load_csv(str(path), 1)
+
+
+def test_load_csv_reports_errors_in_file_order(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,2,3\n4,x,6\n7,8\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 3, column 'b'"):
+        load_csv(str(path), 1)
+    path.write_text("a,b,y\n1,2,3\n4,5\n7,,9\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 3 has 2 cells"):
+        load_csv(str(path), 1)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+def test_load_csv_rejects_non_finite(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,y\n1,2\n{cell},3\n", encoding="utf-8")
+    with pytest.raises(DataError, match="non-finite"):
+        load_csv(str(path), 1)
+
+
 def test_load_csv_duplicate_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,a,y\n1,2,3\n", encoding="utf-8")

@@ -24,6 +24,7 @@ from bannet import (
     save_model,
 )
 from bannet.approx import build_square_approximator
+from bannet.model import BLOCK_VALUES
 
 from conftest import make_random_model, random_activation
 
@@ -88,6 +89,8 @@ def test_forward_shape_error_names_layer():
     )
     with pytest.raises(DimensionError, match="layer 1"):
         forward(model, np.ones(4))
+    with pytest.raises(DimensionError, match="batch of rows"):
+        forward(model, np.ones((2, 4, 3)))
 
 
 def test_forward_deterministic():
@@ -123,6 +126,40 @@ def test_hidden_pattern_range_check():
     model = make_random_model(rng, n_hidden=1)
     with pytest.raises(DimensionError):
         hidden_pattern(model, np.zeros(model.in_width), 2)
+
+
+def unblocked_propagate(model, x, upto, with_output):
+    out = x
+    for layer in model.hidden[:upto]:
+        out = activate(out @ layer.weights.T + layer.biases, model.activation)
+    if with_output:
+        out = out @ model.output.weights.T + model.output.biases
+    return out
+
+
+def test_blocked_forward_and_patterns_match_unblocked_bit_for_bit():
+    # Dyadic weights on 1/64-grid inputs: every sum is exact in any order, so
+    # the blocked and unblocked passes must agree bit for bit.
+    rng = np.random.default_rng(11)
+    widths = [3, 256, 40, 2]
+    layers = [
+        LayerParams(rng.integers(-64, 65, size=(b, a)) / 16.0, rng.integers(-64, 65, size=b) / 64.0)
+        for a, b in zip(widths, widths[1:])
+    ]
+    model = BannModel(ActivationParams(0.25, -0.5, 1.5), tuple(layers[:-1]), layers[-1])
+    rows_per_block = BLOCK_VALUES // max(widths[1:])
+    m = 3 * rows_per_block + 37
+    x = rng.integers(-256, 257, size=(m, 3)) / 64.0
+
+    want = unblocked_propagate(model, x, 2, True)
+    assert np.array_equal(forward(model, x), want)
+    assert np.array_equal(forward(model, x[5]), want[5])
+    assert forward(model, x[:0]).shape == (0, 2)
+    for k in (1, 2):
+        want = unblocked_propagate(model, x, k, False)
+        assert np.array_equal(hidden_pattern(model, x, k), want)
+        assert np.array_equal(hidden_pattern(model, x[-1], k), want[-1])
+        assert hidden_pattern(model, x[:0], k).shape == (0, widths[k])
 
 
 def test_two_hidden_neurons_give_at_most_four_patterns():

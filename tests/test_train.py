@@ -20,6 +20,7 @@ from bannet import (
     mse,
     optimal_bias,
 )
+from bannet.solvers import StandardizedDesign, scheduled_lasso_fit
 from bannet.train import neuron_side, units_forward
 
 
@@ -152,6 +153,22 @@ def test_fit_hyperplane_duplicated_outputs_match_univariate():
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
     assert b1 == pytest.approx(b2, rel=1e-10)
     assert lam1 == lam2
+
+
+def test_multivariate_fit_on_row_mean_matches_tiled_design():
+    # The stacked problem (design repeated once per output coordinate against
+    # the residual columns laid end to end) is what the row-mean fit replaces.
+    rng = np.random.default_rng(30)
+    features = rng.normal(size=(300, 6))
+    residuals = features[:, :3] @ rng.normal(size=(3, 3)) + rng.normal(size=(300, 3))
+    tiled = StandardizedDesign(np.tile(features, (3, 1)))
+    for seed_lambda in (1e5, 0.3, 0.01):
+        state = LayerState(features, residuals, LassoConfig(), seed_lambda)
+        w, _ = state.fit_hyperplane()
+        want = scheduled_lasso_fit(tiled, residuals.T.reshape(-1), LassoConfig(), seed_lambda)
+        assert state.design.n == 300
+        assert state.current_lambda == want.used_lambda
+        assert np.allclose(w, want.w, rtol=0, atol=1e-12)
 
 
 def test_fit_hyperplane_zero_residuals_signal():
