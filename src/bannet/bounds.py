@@ -55,13 +55,7 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int) -> RegionParti
     """
     patterns = hidden_pattern(model, dataset.features, k)
     bits = np.packbits(patterns == model.activation.h2, axis=1)
-    if bits.shape[1] <= 8:
-        # Up to 64 units: one machine word per row sorts fastest.
-        words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
-        words[:, : bits.shape[1]] = bits
-        keys = words.view(np.uint64).reshape(-1)
-    else:
-        keys = np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
+    keys = np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty(first.shape[0], dtype=np.intp)
     rank[np.argsort(first)] = np.arange(first.shape[0])

@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .approx import (
     build_product_approximator,
@@ -32,6 +30,7 @@ from .model import (
     mse,
     reparametrize_activation,
     save_model,
+    squared_error_sums,
     write_atomic,
 )
 from .solvers import LassoConfig
@@ -160,11 +159,9 @@ def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
         raise DataError(
             f"model outputs {model.out_width} values, data has {data.n_labels} labels"
         )
-    diff = forward(model, data.features) - data.labels
-    sq = diff * diff
-    # The same expression as model.mse, so the printed bytes match it.
-    print(f"mse: {float(np.sum(sq) / data.m)!r}")
-    print("per-output mse: " + ", ".join(repr(float(v)) for v in np.sum(sq, axis=0) / data.m))
+    total, per_output = squared_error_sums(forward(model, data.features), data.labels)
+    print(f"mse: {total / data.m!r}")
+    print("per-output mse: " + ", ".join(repr(float(v)) for v in per_output / data.m))
     for k, count, _ in bound_chain(model, data):
         print(f"regions at depth {k}: {count}")
     print(f"nonzero parameters: {count_nonzero_parameters(model)}")

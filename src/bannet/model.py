@@ -212,8 +212,15 @@ def mse(model: BannModel, data: Dataset) -> float:
         raise DimensionError(
             f"model outputs {pred.shape[1]} values, labels have {data.n_labels}"
         )
-    diff = pred - data.labels
-    return float(np.sum(diff * diff) / data.m)
+    total, _ = squared_error_sums(pred, data.labels)
+    return total / data.m
+
+
+def squared_error_sums(pred: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum of squared prediction errors over all entries, and per output."""
+    diff = pred - labels
+    sq = diff * diff
+    return float(np.sum(sq)), np.sum(sq, axis=0)
 
 
 def reparametrize_activation(model: BannModel, target: ActivationParams) -> BannModel:

@@ -24,7 +24,7 @@ from bannet import (
     save_model,
 )
 from bannet.approx import build_square_approximator
-from bannet.model import BLOCK_VALUES
+from bannet.model import BLOCK_VALUES, squared_error_sums
 
 from conftest import make_random_model, random_activation
 
@@ -204,6 +204,15 @@ def test_mse_hand_computed_example():
     model = BannModel(SIGN, (), LayerParams(np.array([[1.0]]), np.array([0.0])))
     data = Dataset(np.array([[1.0], [2.0]]), np.array([[2.0], [5.0]]))
     assert mse(model, data) == pytest.approx(5.0, rel=1e-15)
+
+
+def test_squared_error_sums_total_and_per_output():
+    # errors (1, -2) and (3, 0) -> per output (1 + 9, 4 + 0), total 14
+    pred = np.array([[1.0, 0.0], [2.0, 5.0]])
+    labels = np.array([[2.0, -2.0], [5.0, 5.0]])
+    total, per_output = squared_error_sums(pred, labels)
+    assert total == 14.0
+    assert per_output.tolist() == [10.0, 4.0]
 
 
 def test_reparametrize_identity_target():
