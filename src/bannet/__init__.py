@@ -3,14 +3,7 @@ for univariate and multivariate regression."""
 
 __version__ = "0.1.0"
 
-from .approx import build_product_approximator, build_square_approximator
-from .bounds import (
-    RegionPartition,
-    bound_chain,
-    classification_lower_bound,
-    partition_regions,
-    regression_lower_bound,
-)
+from .bounds import bound_chain
 from .data import SplitSpec, load_csv, split_dataset
 from .errors import (
     BannetError,
@@ -22,41 +15,6 @@ from .errors import (
     TrainingAbort,
     ZeroWeightVector,
 )
-from .model import (
-    SIGN,
-    ActivationParams,
-    BannModel,
-    Dataset,
-    LayerParams,
-    activate,
-    count_nonzero_parameters,
-    forward,
-    hidden_pattern,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    mse,
-    reparametrize_activation,
-    save_model,
-)
-from .solvers import (
-    LassoConfig,
-    LinearFit,
-    RegressionProblem,
-    ScheduledFit,
-    auto_lambda_fit,
-    lasso_fit,
-    least_squares_fit,
-)
-from .train import (
-    IterationRecord,
-    LayerState,
-    Neuron,
-    TrainConfig,
-    TrainReport,
-    build_layer,
-    build_network,
-    compute_cd,
-    fit_hyperplane,
-    optimal_bias,
-)
+from .model import BannModel, Dataset, forward, load_model, mse, save_model
+from .solvers import LassoConfig
+from .train import IterationRecord, TrainConfig, TrainReport, build_network

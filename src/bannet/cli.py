@@ -1,7 +1,8 @@
 """Command line: train a network from a CSV, evaluate or bound a saved model,
 emit the constructive demo networks, and reparametrize activations.
 
-Exit codes: 0 success, 2 data error, 3 configuration error, 4 training abort.
+Exit codes: 0 success, 1 other failure (such as a lasso solve that reaches
+its step cap), 2 data error, 3 configuration error, 4 training abort.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ class RunManifest:
                 cd_tol=self.cd_tol,
                 cd_max_iters=self.cd_max_iters,
             ),
-            val_fraction=self.val_fraction,
-            seed=self.seed,
             min_layer_gain=self.min_layer_gain,
         )
 
@@ -105,9 +104,10 @@ def load_manifest(path: str) -> RunManifest:
 
 
 def run_train(manifest: RunManifest) -> int:
+    spec, cfg = manifest.split_spec(), manifest.train_config()
     data = load_csv(manifest.dataset, manifest.labels)
-    train, val, test = split_dataset(data, manifest.split_spec())
-    model, report = build_network(train, manifest.train_config(), val_data=val)
+    train, val, test = split_dataset(data, spec)
+    model, report = build_network(train, cfg, val_data=val)
 
     out = manifest.out_dir
     os.makedirs(out, exist_ok=True)

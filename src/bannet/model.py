@@ -253,19 +253,13 @@ def reparametrize_activation(model: BannModel, target: ActivationParams) -> Bann
     return BannModel(target, tuple(new_hidden), new_output)
 
 
-def count_nonzero_parameters(model: BannModel, tol: float = 0.0) -> int:
-    """Number of weights and biases with absolute value above tol.
-
-    The default tol of 0 counts exact nonzeros; the sparse solver produces
-    exact zeros, so no threshold fudge is needed.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    total = 0
-    for layer in list(model.hidden) + [model.output]:
-        total += int(np.count_nonzero(np.abs(layer.weights) > tol))
-        total += int(np.count_nonzero(np.abs(layer.biases) > tol))
-    return total
+def count_nonzero_parameters(model: BannModel) -> int:
+    """Number of nonzero weights and biases. The sparse solver produces exact
+    zeros, so no threshold is needed."""
+    return sum(
+        int(np.count_nonzero(layer.weights)) + int(np.count_nonzero(layer.biases))
+        for layer in model.hidden + (model.output,)
+    )
 
 
 def model_to_dict(model: BannModel) -> dict:

@@ -1,6 +1,8 @@
 """Small dense linear solvers: ordinary least squares, and L1-regularized
 regression by an exact active-set method with the shrinking-penalty schedule
-that weakens the regularization until some weight survives.
+that weakens the regularization until some weight survives. Training calls
+scheduled_lasso_fit on a cached StandardizedDesign; least_squares_fit and
+lasso_fit on a RegressionProblem are the references the tests check against.
 
 The L1 objective is (1/(2n))*||X w + b - y||^2 + lambda*||w||_1 with the bias
 unpenalized. Features are standardized internally (zero mean, unit variance;
@@ -31,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 
 
 @dataclass(frozen=True)
 class RegressionProblem:
     design: np.ndarray
     targets: np.ndarray
-    fit_bias: bool = True
 
     def __post_init__(self):
         design = np.asarray(self.design, dtype=float)
@@ -73,13 +74,13 @@ class LassoConfig:
 
     def __post_init__(self):
         if self.lambda0 <= 0:
-            raise ValueError("lambda0 must be positive")
+            raise ConfigError("lambda0 must be positive")
         if self.divisor <= 1:
-            raise ValueError("divisor must exceed 1")
+            raise ConfigError("divisor must exceed 1")
         if self.max_halvings < 1 or self.cd_max_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
+            raise ConfigError("iteration caps must be >= 1")
         if self.cd_tol <= 0:
-            raise ValueError("cd_tol must be positive")
+            raise ConfigError("cd_tol must be positive")
 
 
 @dataclass
@@ -107,11 +108,10 @@ class StandardizedDesign:
     regression targets change.
     """
 
-    def __init__(self, design: np.ndarray, center: bool = True):
+    def __init__(self, design: np.ndarray):
         x = np.asarray(design, dtype=float)
         self.n, self.p = x.shape
-        self.center = center
-        self.mean = x.mean(axis=0) if center else np.zeros(self.p)
+        self.mean = x.mean(axis=0)
         # A constant column can have a rounding-level std (0.1 repeated 60
         # times has 4e-17), so constancy is read from the values instead.
         varies = (x != x[0]).any(axis=0)
@@ -126,13 +126,12 @@ class StandardizedDesign:
         """Target mean and q = z'(y - mean)/n, the right-hand side of every
         lasso fit of these targets on this design."""
         y = np.asarray(targets, dtype=float)
-        y_mean = float(y.mean()) if self.center else 0.0
+        y_mean = float(y.mean())
         return y_mean, self.z.T @ (y - y_mean) / self.n
 
     def unstandardize(self, w_std: np.ndarray, target_mean: float) -> tuple[np.ndarray, float]:
         w_raw = w_std / self.scale
-        b = target_mean - float(w_raw @ self.mean) if self.center else 0.0
-        return w_raw, b
+        return w_raw, target_mean - float(w_raw @ self.mean)
 
 
 def least_squares_fit(problem: RegressionProblem) -> LinearFit:
@@ -141,17 +140,11 @@ def least_squares_fit(problem: RegressionProblem) -> LinearFit:
     near the minimum-norm one."""
     x = problem.design
     y = problem.targets
-    n, p = x.shape
-    if problem.fit_bias:
-        x_mean = x.mean(axis=0)
-        y_mean = float(y.mean())
-        xc = x - x_mean
-        yc = y - y_mean
-    else:
-        x_mean = np.zeros(p)
-        y_mean = 0.0
-        xc = x
-        yc = y
+    p = x.shape[1]
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    yc = y - y_mean
     normal = xc.T @ xc
     trace = float(np.trace(normal))
     if trace == 0.0:
@@ -164,8 +157,7 @@ def least_squares_fit(problem: RegressionProblem) -> LinearFit:
         raise SolverError(f"normal equations singular beyond jitter: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise SolverError("normal equations produced non-finite coefficients")
-    b = y_mean - float(w @ x_mean) if problem.fit_bias else 0.0
-    return LinearFit(w, b)
+    return LinearFit(w, y_mean - float(w @ x_mean))
 
 
 def _active_set_fit(
@@ -258,7 +250,7 @@ def lasso_fit(
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     cfg = cfg or LassoConfig()
-    design = StandardizedDesign(problem.design, center=problem.fit_bias)
+    design = StandardizedDesign(problem.design)
     y_mean, q = design.correlations(problem.targets)
     return _active_set_fit(design, y_mean, q, lam, cfg)
 
@@ -287,11 +279,3 @@ def scheduled_lasso_fit(
     fit = _active_set_fit(design, y_mean, q, lam, cfg)
     return ScheduledFit(fit.w, fit.b, lam, bool(np.any(fit.w != 0.0)), fit.converged)
 
-
-def auto_lambda_fit(
-    problem: RegressionProblem,
-    cfg: LassoConfig,
-    current_lambda: float,
-) -> ScheduledFit:
-    design = StandardizedDesign(problem.design, center=problem.fit_bias)
-    return scheduled_lasso_fit(design, problem.targets, cfg, current_lambda)

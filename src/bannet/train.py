@@ -31,6 +31,7 @@ from .model import (
     activate,
     count_nonzero_parameters,
     forward,
+    squared_error_sums,
     write_atomic,
 )
 from .solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
@@ -56,8 +57,6 @@ class TrainConfig:
     replace_cap: int = 10
     patience: int = 20
     lasso: LassoConfig = field(default_factory=LassoConfig)
-    val_fraction: float = 0.2
-    seed: int = 0
     min_layer_gain: float = 0.0
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class TrainConfig:
             raise ConfigError("replace_cap must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in (0, 1)")
         if self.min_layer_gain < 0:
             raise ConfigError("min_layer_gain must be >= 0")
 
@@ -98,9 +95,6 @@ class TrainReport:
 
     CSV_COLUMNS = ("layer", "t", "train_mse", "val_mse", "drop", "lambda", "nnz")
 
-    def layer_records(self, layer: int) -> list[IterationRecord]:
-        return [r for r in self.records if r.layer == layer]
-
     def write_csv(self, path: str) -> None:
         lines = [",".join(self.CSV_COLUMNS)]
         for r in self.records:
@@ -114,7 +108,7 @@ class TrainReport:
 
 def neuron_side(features: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     """Side of the hyperplane for every row: -1 below, +1 at or above."""
-    return np.where(features @ w + b < 0.0, -1.0, 1.0)
+    return activate(features @ w + b, SIGN)
 
 
 def optimal_bias(
@@ -184,20 +178,6 @@ def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.
     rho_pos = residuals[pos].mean(axis=0)
     rho_neg = residuals[~pos].mean(axis=0)
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
-
-
-def fit_hyperplane(
-    features: np.ndarray,
-    residuals: np.ndarray,
-    cfg: LassoConfig,
-    current_lambda: float,
-) -> tuple[np.ndarray, float, float]:
-    """One-shot hyperplane fit: sparse regression for the normal (multivariate
-    residuals are fitted through their row mean), then the exact bias search.
-    Returns (w, b, lambda actually used)."""
-    state = LayerState(features, residuals, cfg, current_lambda)
-    w, b = state.fit_hyperplane()
-    return w, b, state.current_lambda
 
 
 def units_forward(neurons: list[Neuron], features: np.ndarray) -> np.ndarray:
@@ -279,26 +259,20 @@ class LayerState:
                 worst = max(worst, float(np.max(np.abs(self.residuals[mask].sum(axis=0)))))
         return worst
 
-    def add_neuron(self) -> tuple[float, float, float]:
+    def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
-        residual side imbalance after the update)."""
+        residual side imbalance after the update). An intercept unit, for
+        when no hyperplane can be oriented, has w = 0 and b = 1: every row
+        is on the positive side and d absorbs the residual means."""
         pre = self.train_mse()
-        w, b = self.fit_hyperplane()
+        if intercept:
+            w, b = np.zeros(self.features.shape[1]), 1.0
+        else:
+            w, b = self.fit_hyperplane()
         side = neuron_side(self.features, w, b)
         c, d = compute_cd(self.residuals, side)
         self._apply(side, c, d, -1.0)
         self.neurons.append(Neuron(w, float(b), c, d))
-        predicted = float(np.sum(c * c - d * d))
-        return pre - self.train_mse(), predicted, self._side_imbalance(side)
-
-    def add_intercept_neuron(self) -> tuple[float, float, float]:
-        """Degenerate unit used when no hyperplane can be oriented: everything
-        on the positive side, d absorbing the residual means."""
-        pre = self.train_mse()
-        side = np.ones(self.m)
-        c, d = compute_cd(self.residuals, side)
-        self._apply(side, c, d, -1.0)
-        self.neurons.append(Neuron(np.zeros(self.features.shape[1]), 1.0, c, d))
         predicted = float(np.sum(c * c - d * d))
         return pre - self.train_mse(), predicted, self._side_imbalance(side)
 
@@ -338,16 +312,6 @@ class LayerState:
     def snapshot(self) -> list[Neuron]:
         return [unit.copy() for unit in self.neurons]
 
-    def nonzero_parameters(self) -> int:
-        if not self.neurons:
-            return 0
-        count = 0
-        for unit in self.neurons:
-            count += int(np.count_nonzero(unit.w)) + int(unit.b != 0.0)
-        count += int(np.count_nonzero(np.stack([u.c for u in self.neurons])))
-        count += int(np.count_nonzero(np.sum([u.d for u in self.neurons], axis=0)))
-        return count
-
 
 @dataclass
 class LayerResult:
@@ -371,17 +335,17 @@ def build_layer(
     layer_index: int = 1,
     current_lambda: float | None = None,
     records: list[IterationRecord] | None = None,
-    base_nnz: int = 0,
+    kept: tuple[LayerParams, ...] = (),
 ) -> LayerResult:
     """Grow one hidden layer on the given inputs, tracking validation error
     for early stopping, then roll back to the width with the best validation
-    error. With no validation rows the layer grows to the unit cap."""
+    error. Without validation data the layer grows to the unit cap. The nnz
+    of a record counts the frozen layers ``kept`` below this one, the grown
+    units and their output head."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
     state = LayerState(features, targets, cfg.lasso, current_lambda or cfg.lasso.lambda0)
-    has_val = val_features is not None and val_features.shape[0] > 0
-    val_t = None
-    val_pred = None
+    has_val = val_features is not None
     if has_val:
         val_t = np.array(val_targets, dtype=float)
         if val_t.ndim == 1:
@@ -398,31 +362,27 @@ def build_layer(
         try:
             drop, predicted, imbalance = state.add_neuron()
         except ZeroWeightVector:
-            if t == 1:
-                drop, predicted, imbalance = state.add_intercept_neuron()
-                aborted = True
-            else:
+            if t > 1:
                 break
-        replacements = 0
-        if not aborted:
-            new = state.neurons[-1]
+            drop, predicted, imbalance = state.add_neuron(intercept=True)
+            aborted = True
+        new = state.neurons[-1]
+        if has_val:
+            val_pred += neuron_side(val_features, new.w, new.b)[:, None] * new.c + new.d
+        # A lone unit has nothing to replace, so an intercept unit stays.
+        replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
+        if replacements:
+            imbalance = max(imbalance, repl_imbalance)
             if has_val:
-                side = neuron_side(val_features, new.w, new.b)
-                val_pred += side[:, None] * new.c + new.d
-            replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
-            if replacements:
-                imbalance = max(imbalance, repl_imbalance)
-                if has_val:
-                    val_pred = units_forward(state.neurons, val_features)
-        elif has_val:
-            val_pred += state.neurons[-1].d[None, :]
+                val_pred = units_forward(state.neurons, val_features)
 
         train_mse = state.train_mse()
         val_mse = None
         if has_val:
-            diff = val_pred - val_t
-            val_mse = float(np.sum(diff * diff) / val_t.shape[0])
+            val_mse = squared_error_sums(val_pred, val_t)[0] / val_t.shape[0]
         if records is not None:
+            grown, head_w, head_b = units_to_layer(state.neurons)
+            partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
             records.append(
                 IterationRecord(
                     layer=layer_index,
@@ -433,7 +393,7 @@ def build_layer(
                     predicted_drop=predicted,
                     replacements=replacements,
                     lambda_used=state.current_lambda,
-                    nnz=base_nnz + state.nonzero_parameters(),
+                    nnz=count_nonzero_parameters(partial),
                     side_imbalance=imbalance,
                 )
             )
@@ -457,19 +417,10 @@ def build_layer(
     return LayerResult(
         neurons=best_neurons,
         best_train_mse=best_train,
-        best_val_mse=None if not has_val else best_val,
+        best_val_mse=best_val if has_val else None,
         aborted=aborted,
         current_lambda=state.current_lambda,
     )
-
-
-def _split_validation(dataset: Dataset, cfg: TrainConfig) -> tuple[Dataset, Dataset | None]:
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(dataset.m)
-    n_val = int(cfg.val_fraction * dataset.m)
-    if n_val == 0:
-        return dataset, None
-    return dataset.take(perm[: dataset.m - n_val]), dataset.take(perm[dataset.m - n_val :])
 
 
 def build_network(
@@ -484,42 +435,31 @@ def build_network(
     improves on the incumbent network's; the kept layer's linear head becomes
     the model output.
 
-    When ``val_data`` is omitted, a validation split of ``cfg.val_fraction``
-    is drawn from ``dataset`` with the run seed before training.
+    With ``val_data`` None there is no validation: the one hidden layer grows
+    to the unit cap, and more than one hidden layer is a ConfigError.
     """
-    if val_data is None:
-        train_ds, val_ds = _split_validation(dataset, cfg)
-    else:
-        train_ds, val_ds = dataset, (val_data if val_data.m > 0 else None)
-    if val_ds is None and cfg.max_hidden_layers > 1:
-        raise ConfigError(
-            "building more than one hidden layer requires a validation split"
-        )
+    if val_data is None and cfg.max_hidden_layers > 1:
+        raise ConfigError("building more than one hidden layer requires validation data")
 
     report = TrainReport()
-    train_x = np.asarray(train_ds.features)
-    val_x = np.asarray(val_ds.features) if val_ds is not None else None
-    labels = np.asarray(train_ds.labels)
-    val_labels = np.asarray(val_ds.labels) if val_ds is not None else None
+    train_x = dataset.features
+    val_x = None if val_data is None else val_data.features
+    val_labels = None if val_data is None else val_data.labels
 
     current_lambda = cfg.lasso.lambda0
     kept: list[LayerParams] = []
     incumbent: LayerResult | None = None
     for depth in range(1, cfg.max_hidden_layers + 1):
-        base_nnz = sum(
-            int(np.count_nonzero(lp.weights)) + int(np.count_nonzero(lp.biases))
-            for lp in kept
-        )
         result = build_layer(
             train_x,
-            labels,
+            dataset.labels,
             val_x,
             val_labels,
             cfg,
             layer_index=depth,
             current_lambda=current_lambda,
             records=report.records,
-            base_nnz=base_nnz,
+            kept=tuple(kept),
         )
         current_lambda = result.current_lambda
         if depth > 1 and result.best_val_mse >= incumbent.best_val_mse:
@@ -537,12 +477,11 @@ def build_network(
     model = BannModel(SIGN, tuple(kept), LayerParams(head_w, head_b))
 
     report.architecture = model.architecture()
-    pred = forward(model, train_ds.features)
-    diff = pred - train_ds.labels
-    report.final_train_mse = float(np.sum(diff * diff) / train_ds.m)
-    if val_ds is not None:
-        vdiff = forward(model, val_ds.features) - val_ds.labels
-        report.final_val_mse = float(np.sum(vdiff * vdiff) / val_ds.m)
+    total, _ = squared_error_sums(forward(model, dataset.features), dataset.labels)
+    report.final_train_mse = total / dataset.m
+    if val_data is not None:
+        total, _ = squared_error_sums(forward(model, val_data.features), val_data.labels)
+        report.final_val_mse = total / val_data.m
     report.records.append(
         IterationRecord(
             layer=len(kept),

@@ -1,4 +1,4 @@
-from bannet import ActivationParams, BannModel, Dataset, LayerParams
+from bannet.model import ActivationParams, BannModel, Dataset, LayerParams
 
 
 def make_random_model(rng, d0=None, n_hidden=None, dl=None, max_width=8, activation=None):

@@ -14,31 +14,24 @@ import time
 import numpy as np
 import pytest
 
-from bannet import (
-    Dataset,
-    LassoConfig,
-    RegressionProblem,
-    SplitSpec,
-    TrainConfig,
-    auto_lambda_fit,
-    bound_chain,
-    build_layer,
-    build_network,
-    forward,
-    lasso_fit,
-    least_squares_fit,
-    mse,
-    partition_regions,
-    classification_lower_bound,
-    reparametrize_activation,
-    split_dataset,
-)
 from bannet.approx import (
     build_product_approximator,
     build_square_approximator,
     product_grid_error,
     square_grid_error,
 )
+from bannet.bounds import bound_chain, classification_lower_bound, partition_regions
+from bannet.data import SplitSpec, split_dataset
+from bannet.model import Dataset, forward, mse, reparametrize_activation
+from bannet.solvers import (
+    LassoConfig,
+    RegressionProblem,
+    StandardizedDesign,
+    lasso_fit,
+    least_squares_fit,
+    scheduled_lasso_fit,
+)
+from bannet.train import TrainConfig, build_layer, build_network
 
 from conftest import make_random_dataset, make_random_model, random_activation
 from test_bounds import exhaustive_zero_one_floor
@@ -244,7 +237,7 @@ def test_criterion_6_lasso_kkt_suite():
         p = int(rng.integers(1, 8))
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n) * 0.2
-        result = auto_lambda_fit(RegressionProblem(X, y), cfg, cfg.lambda0)
+        result = scheduled_lasso_fit(StandardizedDesign(X), y, cfg, cfg.lambda0)
         assert result.has_nonzero, "schedule must terminate with a nonzero weight"
         schedule_runs += 1
     elapsed = time.perf_counter() - start
@@ -254,11 +247,6 @@ def test_criterion_6_lasso_kkt_suite():
         f"100 KKT checks (worst violation {worst_kkt:.2e}), 20 zero-penalty "
         f"matches, {schedule_runs} schedules terminated, {elapsed:.1f}s (< 30s)",
     )
-
-
-def _default_config(seed: int) -> TrainConfig:
-    # mirrors the command-line defaults
-    return TrainConfig(seed=seed)
 
 
 def _plant_measurements(seed: int = 0) -> Dataset:
@@ -285,7 +273,8 @@ def _plant_measurements(seed: int = 0) -> Dataset:
 
 def _run_envelope(dataset: Dataset, seed: int):
     train, val, test = split_dataset(dataset, SplitSpec(seed=seed))
-    model, report = build_network(train, _default_config(seed), val_data=val)
+    # TrainConfig() mirrors the command-line defaults
+    model, report = build_network(train, TrainConfig(), val_data=val)
     for r in report.records:
         _RESIDUAL_EVIDENCE.append((train.m, r.side_imbalance))
     depth = len(model.hidden)

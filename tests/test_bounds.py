@@ -3,21 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from bannet import (
-    SIGN,
-    ActivationParams,
-    BannModel,
-    DataError,
-    Dataset,
-    LayerParams,
+from bannet.bounds import (
     bound_chain,
     classification_lower_bound,
-    hidden_pattern,
-    mse,
     partition_regions,
     regression_lower_bound,
 )
-from bannet.errors import DimensionError
+from bannet.errors import DataError, DimensionError
+from bannet.model import (
+    SIGN,
+    ActivationParams,
+    BannModel,
+    Dataset,
+    LayerParams,
+    hidden_pattern,
+    mse,
+)
 
 from conftest import make_random_dataset, make_random_model
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bannet
 from bannet import forward, load_model, mse
 from bannet.cli import main
 from bannet.data import load_csv
@@ -129,6 +133,30 @@ def test_config_error_exit_code(tmp_path):
     code = main(["train", "--data", str(data), "--labels", "1",
                  "--test-frac", "0.999", "--out", str(tmp_path / "x")])
     assert code == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_bad_lasso_setting_is_config_error(tmp_path, source):
+    # --lambda0 0 and a manifest divisor of 1 both reach LassoConfig
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    out = tmp_path / "run"
+    if source == "flag":
+        argv = ["train", "--data", str(data), "--labels", "1", "--lambda0", "0",
+                "--out", str(out)]
+    else:
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"dataset": str(data), "labels": "1", "divisor": 1, "out_dir": str(out)}
+        ), encoding="utf-8")
+        argv = ["train", "--from-manifest", str(manifest)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bannet.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "bannet.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_training_abort_exit_code(tmp_path):

@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from bannet import (
+from bannet.approx import build_square_approximator
+from bannet.errors import DataError, DimensionError, ModelFormatError
+from bannet.model import (
+    BLOCK_VALUES,
     SIGN,
     ActivationParams,
     BannModel,
-    DataError,
     Dataset,
-    DimensionError,
     LayerParams,
-    ModelFormatError,
     activate,
     count_nonzero_parameters,
     forward,
@@ -22,9 +22,8 @@ from bannet import (
     mse,
     reparametrize_activation,
     save_model,
+    squared_error_sums,
 )
-from bannet.approx import build_square_approximator
-from bannet.model import BLOCK_VALUES, squared_error_sums
 
 from conftest import make_random_model, random_activation
 
@@ -272,13 +271,13 @@ def test_count_nonzero_dense_model():
 
 
 def test_count_nonzero_respects_tolerance():
+    # no threshold: a tiny weight counts, an exact zero does not
     model = BannModel(
         SIGN,
         (LayerParams(np.array([[1e-6, 2.0]]), np.array([0.5])),),
         LayerParams(np.array([[1.0]]), np.array([0.0])),
     )
     assert count_nonzero_parameters(model) == 4
-    assert count_nonzero_parameters(model, tol=1e-3) == 3
 
 
 def test_dataset_validation():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from bannet import (
+from bannet.errors import ConfigError
+from bannet.solvers import (
     LassoConfig,
     RegressionProblem,
-    auto_lambda_fit,
+    StandardizedDesign,
     lasso_fit,
     least_squares_fit,
+    scheduled_lasso_fit,
 )
 
 
@@ -57,16 +59,6 @@ def test_least_squares_residual_orthogonal_to_columns():
     fit = least_squares_fit(RegressionProblem(X, y))
     resid = y - X @ fit.w - fit.b
     assert np.max(np.abs(X.T @ resid)) <= 1e-8
-
-
-def test_least_squares_without_bias():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(30, 3))
-    w0 = np.array([2.0, 0.0, -1.0])
-    y = X @ w0
-    fit = least_squares_fit(RegressionProblem(X, y, fit_bias=False))
-    assert fit.b == 0.0
-    assert np.max(np.abs(fit.w - w0)) <= 1e-8
 
 
 def test_lasso_full_shrinkage_at_large_lambda():
@@ -200,7 +192,7 @@ def test_schedule_divides_until_nonzero():
     X = rng.normal(size=(40, 3))
     y = 5.0 * X[:, 0] + 0.1 * rng.normal(size=40)
     cfg = LassoConfig()
-    result = auto_lambda_fit(RegressionProblem(X, y), cfg, cfg.lambda0)
+    result = scheduled_lasso_fit(StandardizedDesign(X), y, cfg, cfg.lambda0)
     assert result.has_nonzero
     # used value must sit on the divisor grid from 1e5
     k = round(np.log(cfg.lambda0 / result.used_lambda) / np.log(cfg.divisor))
@@ -211,7 +203,7 @@ def test_schedule_divides_until_nonzero():
 def test_schedule_flags_hopeless_targets():
     X = np.arange(12.0).reshape(6, 2)
     cfg = LassoConfig(max_halvings=40)
-    result = auto_lambda_fit(RegressionProblem(X, np.zeros(6)), cfg, cfg.lambda0)
+    result = scheduled_lasso_fit(StandardizedDesign(X), np.zeros(6), cfg, cfg.lambda0)
     assert not result.has_nonzero
     assert np.all(result.w == 0.0)
     assert result.b == 0.0
@@ -225,7 +217,7 @@ def test_schedule_crosses_the_activation_point():
     z = (x - x.mean()) / x.std()
     lam_star = float(abs(z @ (y - y.mean())) / 50)
     cfg = LassoConfig()
-    result = auto_lambda_fit(RegressionProblem(x[:, None], y), cfg, cfg.lambda0)
+    result = scheduled_lasso_fit(StandardizedDesign(x[:, None]), y, cfg, cfg.lambda0)
     assert result.has_nonzero
     assert result.used_lambda < lam_star
     assert result.used_lambda * cfg.divisor >= lam_star  # first grid point below
@@ -244,5 +236,5 @@ def test_problem_validation():
         RegressionProblem(np.ones((3, 2)), np.ones(4))
     with pytest.raises(ValueError):
         RegressionProblem(np.array([[np.inf]]), np.ones(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         LassoConfig(divisor=1.0)

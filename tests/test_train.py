@@ -3,25 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from bannet import (
-    ConfigError,
+from bannet.data import SplitSpec, split_dataset
+from bannet.errors import ConfigError, SolverError, ZeroWeightVector
+from bannet.model import (
+    SIGN,
+    BannModel,
     Dataset,
-    LassoConfig,
+    LayerParams,
+    count_nonzero_parameters,
+    hidden_pattern,
+    mse,
+)
+from bannet.solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
+from bannet.train import (
     LayerState,
     Neuron,
-    SolverError,
     TrainConfig,
-    ZeroWeightVector,
     build_layer,
     build_network,
     compute_cd,
-    fit_hyperplane,
-    hidden_pattern,
-    mse,
+    neuron_side,
     optimal_bias,
+    units_forward,
+    units_to_layer,
 )
-from bannet.solvers import StandardizedDesign, scheduled_lasso_fit
-from bannet.train import neuron_side, units_forward
 
 
 def split_objective(proj, residuals, b):
@@ -136,7 +141,7 @@ def test_fit_hyperplane_separates_constant_clusters():
     right = rng.normal(size=(20, 2)) * 0.1 + np.array([5.0, 0.0])
     features = np.vstack([left, right])
     residuals = np.concatenate([np.zeros(20), np.full(20, 10.0)])[:, None]
-    w, b, _ = fit_hyperplane(features, residuals, LassoConfig(), 1e5)
+    w, b = LayerState(features, residuals, LassoConfig(), 1e5).fit_hyperplane()
     side = neuron_side(features, w, b)
     assert len(set(side[:20])) == 1 and len(set(side[20:])) == 1
     assert side[0] != side[-1]
@@ -148,11 +153,13 @@ def test_fit_hyperplane_duplicated_outputs_match_univariate():
     rng = np.random.default_rng(3)
     features = rng.normal(size=(30, 3))
     col = rng.normal(size=(30, 1))
-    w1, b1, lam1 = fit_hyperplane(features, col, LassoConfig(), 1e5)
-    w2, b2, lam2 = fit_hyperplane(features, np.hstack([col, col]), LassoConfig(), 1e5)
+    one = LayerState(features, col, LassoConfig(), 1e5)
+    two = LayerState(features, np.hstack([col, col]), LassoConfig(), 1e5)
+    w1, b1 = one.fit_hyperplane()
+    w2, b2 = two.fit_hyperplane()
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
     assert b1 == pytest.approx(b2, rel=1e-10)
-    assert lam1 == lam2
+    assert one.current_lambda == two.current_lambda
 
 
 def test_multivariate_fit_on_row_mean_matches_tiled_design():
@@ -172,9 +179,10 @@ def test_multivariate_fit_on_row_mean_matches_tiled_design():
 
 
 def test_fit_hyperplane_zero_residuals_signal():
-    with pytest.raises(ZeroWeightVector):
-        fit_hyperplane(np.random.default_rng(4).normal(size=(10, 2)),
+    state = LayerState(np.random.default_rng(4).normal(size=(10, 2)),
                        np.zeros((10, 1)), LassoConfig(max_halvings=30), 1e5)
+    with pytest.raises(ZeroWeightVector):
+        state.fit_hyperplane()
 
 
 def layer_state(features, targets, seed_lambda=1e5):
@@ -185,7 +193,7 @@ def test_fit_hyperplane_raises_on_non_converged_solve():
     rng = np.random.default_rng(40)
     features = rng.normal(size=(200, 3))
     targets = 3.0 * features[:, 0] + 3.0 * features[:, 1] + 0.1 * rng.normal(size=200)
-    w, _, _ = fit_hyperplane(features, targets, LassoConfig(), 1e5)
+    w, _ = LayerState(features, targets, LassoConfig(), 1e5).fit_hyperplane()
     assert np.count_nonzero(w) >= 2
     cfg = TrainConfig(max_hidden_layers=1, lasso=LassoConfig(cd_max_iters=1))
     with pytest.raises(SolverError):
@@ -323,7 +331,7 @@ def test_build_network_single_layer_shape():
     x = rng.normal(size=(50, 2))
     y = (x[:, :1] > 0).astype(float) * 3 + 0.1 * rng.normal(size=(50, 1))
     ds = Dataset(x, y)
-    cfg = TrainConfig(max_neurons_per_layer=8, max_hidden_layers=1, seed=5)
+    cfg = TrainConfig(max_neurons_per_layer=8, max_hidden_layers=1)
     model, report = build_network(ds, cfg)
     assert len(model.hidden) == 1
     assert report.architecture == model.architecture()
@@ -334,9 +342,9 @@ def test_build_network_deep_patterns_shrink():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(200, 3))
     y = (np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0)).astype(float)
-    ds = Dataset(x, y)
-    cfg = TrainConfig(max_neurons_per_layer=20, max_hidden_layers=3, seed=2, patience=5)
-    model, report = build_network(ds, cfg)
+    train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=2))
+    cfg = TrainConfig(max_neurons_per_layer=20, max_hidden_layers=3, patience=5)
+    model, report = build_network(train, cfg, val_data=val)
     if len(model.hidden) > 1:
         counts = [
             len({row.tobytes() for row in hidden_pattern(model, x, k)})
@@ -351,7 +359,7 @@ def test_build_network_deep_patterns_shrink():
 def test_build_network_monotone_training_error_within_layer():
     rng = np.random.default_rng(13)
     ds = Dataset(rng.normal(size=(80, 3)), rng.normal(size=(80, 2)))
-    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=1, seed=3)
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=1)
     _, report = build_network(ds, cfg)
     # growth rows are the t = 1, 2, ... prefix; the trailing summary row
     # restates the rolled-back model and may sit higher
@@ -365,7 +373,7 @@ def test_build_network_monotone_training_error_within_layer():
 def test_build_network_deterministic_and_consistent():
     rng = np.random.default_rng(14)
     ds = Dataset(rng.normal(size=(60, 2)), rng.normal(size=(60, 1)))
-    cfg = TrainConfig(max_neurons_per_layer=6, max_hidden_layers=1, seed=9)
+    cfg = TrainConfig(max_neurons_per_layer=6, max_hidden_layers=1)
     model_a, report_a = build_network(ds, cfg)
     model_b, report_b = build_network(ds, cfg)
     for la, lb in zip(list(model_a.hidden) + [model_a.output], list(model_b.hidden) + [model_b.output]):
@@ -373,30 +381,55 @@ def test_build_network_deterministic_and_consistent():
         assert np.array_equal(la.biases, lb.biases)
     assert report_a.final_train_mse == report_b.final_train_mse
     # the reported final training error is the returned model's actual error
-    rng2 = np.random.default_rng(cfg.seed)
-    perm = rng2.permutation(ds.m)
-    n_val = int(cfg.val_fraction * ds.m)
-    train_ds = ds.take(perm[: ds.m - n_val])
-    assert mse(model_a, train_ds) == pytest.approx(report_a.final_train_mse, rel=1e-12)
+    assert mse(model_a, ds) == pytest.approx(report_a.final_train_mse, rel=1e-12)
 
 
 def test_build_network_requires_validation_for_deepening():
-    # four rows at val_fraction 0.2 floor to an empty validation split
     rng = np.random.default_rng(15)
     ds = Dataset(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
-    cfg = TrainConfig(max_neurons_per_layer=5, max_hidden_layers=2, seed=1)
+    cfg = TrainConfig(max_neurons_per_layer=5, max_hidden_layers=2)
     with pytest.raises(ConfigError):
         build_network(ds, cfg)
-    # a single hidden layer is fine without validation
-    cfg1 = TrainConfig(max_neurons_per_layer=3, max_hidden_layers=1, seed=1)
-    model, _ = build_network(ds, cfg1)
+    # a single hidden layer is fine without validation, and grows to the cap
+    cfg1 = TrainConfig(max_neurons_per_layer=3, max_hidden_layers=1)
+    model, report = build_network(ds, cfg1)
     assert len(model.hidden) == 1
+    assert report.final_val_mse is None
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(max_neurons_per_layer=0)
     with pytest.raises(ConfigError):
-        TrainConfig(val_fraction=1.5)
+        TrainConfig(max_hidden_layers=0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
+
+
+def test_report_nnz_counts_kept_layers_and_grown_units():
+    # Append-only growth (replace_cap=0) never rewrites a unit, so regrowing
+    # each layer from its starting penalty reproduces the units of every
+    # growth record.
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(240, 3))
+    y = np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0) + 0.05 * rng.normal(size=(240, 1))
+    train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=4))
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, replace_cap=0, patience=4)
+    model, report = build_network(train, cfg, val_data=val)
+    growth = report.records[:-1]
+    assert {r.layer for r in growth} == {1, 2}
+    kept: tuple = ()
+    features = train.features
+    lam = cfg.lasso.lambda0
+    for layer in (1, 2):
+        rows = [r for r in growth if r.layer == layer]
+        state = LayerState(features, train.labels, cfg.lasso, lam)
+        for r in rows:
+            state.add_neuron()
+            grown, head_w, head_b = units_to_layer(state.neurons)
+            partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
+            assert r.t == len(state.neurons)
+            assert r.nnz == count_nonzero_parameters(partial)
+        lam = rows[-1].lambda_used
+        kept = (model.hidden[0],)
+        features = hidden_pattern(model, train.features, 1)
