@@ -94,12 +94,18 @@ def load_manifest(path: str) -> RunManifest:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    known = {f for f in RunManifest.__dataclass_fields__}
-    unknown = set(doc) - known
+    fields = RunManifest.__dataclass_fields__
+    unknown = set(doc) - set(fields)
     if unknown:
         raise DataError(f"manifest {path} has unknown fields: {sorted(unknown)}")
     if "dataset" not in doc or "labels" not in doc:
         raise DataError(f"manifest {path} must name a dataset and a label spec")
+    # bool is a subclass of int, and an integer is a valid float.
+    accepts = {"str": str, "int": int, "float": (int, float)}
+    wrong = sorted(k for k, v in doc.items() if isinstance(v, bool)
+                   or not isinstance(v, accepts[fields[k].type]))
+    if wrong:
+        raise DataError(f"manifest {path} has fields of the wrong type: {wrong}")
     return RunManifest(**doc)
 
 

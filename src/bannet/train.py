@@ -39,15 +39,13 @@ from .solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 
 @dataclass
 class Neuron:
-    """One hidden unit: hyperplane (w, b) and per-output coefficients (c, d)."""
+    """One hidden unit: hyperplane (w, b) and per-output coefficients (c, d).
+    Never modified: a refit makes a new unit, so unit lists can be shared."""
 
     w: np.ndarray
     b: float
     c: np.ndarray
     d: np.ndarray
-
-    def copy(self) -> "Neuron":
-        return Neuron(self.w.copy(), self.b, self.c.copy(), self.d.copy())
 
 
 @dataclass(frozen=True)
@@ -115,50 +113,56 @@ def optimal_bias(
     w: np.ndarray, features: np.ndarray, residuals: np.ndarray
 ) -> tuple[float, float]:
     """Exact search for the bias minimizing the weighted per-side residual
-    variance, over all m+1 splits of the rows sorted by their projection onto
-    w. Uses prefix sums of the residuals and their squares, so the scan costs
-    O(dl * m) after the O(m log m) sort. The bias lands at the midpoint
-    between the two projections flanking the chosen split (one past the
-    extremes for the empty-side splits); among ties the first split in scan
-    order wins, the scan starting from the empty-negative-side split.
+    variance, over the splits of the rows sorted by their projection onto w.
+
+    A split with k rows summing to s on the negative side (total T) leaves
+    per-side variances of sum r^2 - gain, gain = s^2/k + (T-s)^2/(m-k), or
+    T^2/m with the negative side empty; the scan maximizes the gain summed
+    over outputs from one prefix sum, O(dl * m) after numpy's default
+    (unstable) argsort. Equal projections are never split, so the order
+    within a tie only changes the rounding of the sums. Among equal gains
+    the first split wins, starting from the empty negative side; the bias
+    lands midway between the projections flanking the split, or 1 below
+    the smallest. The residuals are divided by 2^e, e the binary exponent
+    of their largest magnitude: exact at ordinary scales, and no square
+    overflows or underflows. The objective (sum r^2 - gain)/m is scaled
+    back by 4^e: inf above the double range, 0 or subnormal below it.
     """
     w = np.asarray(w, dtype=float)
     if not np.any(w != 0.0):
         raise ZeroWeightVector("cannot place a hyperplane from an all-zero normal")
-    residuals = np.atleast_2d(residuals.T).T  # (m, dl)
-    m = features.shape[0]
     proj = features @ w
-    order = np.argsort(proj, kind="stable")
+    order = np.argsort(proj)
     sp = proj[order]
-    r = residuals[order]
+    r = np.take(np.atleast_2d(residuals.T), order, axis=1)  # (dl, m), sorted rows
+    e = int(np.frexp(max(r.max(), -r.min()))[1])
+    np.ldexp(r, -e, out=r)
+    sum_sq = np.vdot(r, r)
 
-    zeros = np.zeros((1, r.shape[1]))
-    s = np.concatenate([zeros, np.cumsum(r, axis=0)])          # (m+1, dl)
-    ss = np.concatenate([zeros, np.cumsum(r * r, axis=0)])     # (m+1, dl)
-    total = s[m]
-    total_sq = ss[m]
+    m = r.shape[1]
+    np.cumsum(r, axis=1, out=r)  # r[:, k-1]: sum over the first k rows
+    total, s = r[:, -1], r[:, :-1]
+    k = np.arange(1, m, dtype=float)  # negative-side counts; k[::-1] is m - k
+    gain = np.empty(m)
+    gain[0] = total @ total / m
+    np.einsum("ij,ij->j", s, s, out=gain[1:])
+    gain[1:] /= k
+    s -= total[:, None]
+    pos = np.einsum("ij,ij->j", s, s)
+    gain[1:] += np.divide(pos, k[::-1], out=pos)
+    gain[1:][sp[:-1] == sp[1:]] = -math.inf
 
-    counts = np.arange(m + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        neg = ss - s * s / counts[:, None]
-        pos = (total_sq - ss) - (total - s) ** 2 / (m - counts)[:, None]
-    neg[0] = 0.0
-    pos[m] = 0.0
-    objective = (neg + pos).sum(axis=1) / m
+    best = int(np.argmax(gain))
+    b = -(sp[0] - 1.0) if best == 0 else -(sp[best - 1] + sp[best]) / 2.0
+    with np.errstate(over="ignore", under="ignore"):
+        objective = np.ldexp((sum_sq - gain[best]) / m, 2 * e)
+    return float(b), float(objective)
 
-    # A split between equal projections cannot be realized by any bias.
-    if m > 1:
-        tied = sp[:-1] == sp[1:]
-        objective[1:m][tied] = math.inf
 
-    best = int(np.argmin(objective))
-    if best == 0:
-        b = -(sp[0] - 1.0)
-    elif best == m:
-        b = -(sp[m - 1] + 1.0)
-    else:
-        b = -(sp[best - 1] + sp[best]) / 2.0
-    return float(b), float(objective[best])
+def _side_sums(r: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positive- and negative-side sums of (dl, m) residuals for +/-1 sides."""
+    total, signed = r.sum(axis=1), r @ side
+    return (total + signed) / 2.0, (total - signed) / 2.0
 
 
 def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,17 +170,16 @@ def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.
     side, c = (rho+ - rho-)/2 and d = (rho+ + rho-)/2 per output coordinate.
     An empty side degenerates to c = 0 with d the mean of the populated side.
     """
-    residuals = np.atleast_2d(residuals.T).T
-    if residuals.shape[0] == 0:
+    r = np.atleast_2d(residuals.T)  # (dl, m)
+    if r.shape[1] == 0:
         raise ValueError("empty residual set")
-    pos = side > 0
-    n_pos = int(pos.sum())
-    n_neg = residuals.shape[0] - n_pos
+    n_pos = int(np.count_nonzero(side > 0))
+    n_neg = r.shape[1] - n_pos
     if n_pos == 0 or n_neg == 0:
-        d = residuals.mean(axis=0)
+        d = r.mean(axis=1)
         return np.zeros_like(d), d
-    rho_pos = residuals[pos].mean(axis=0)
-    rho_neg = residuals[~pos].mean(axis=0)
+    pos, neg = _side_sums(r, side)
+    rho_pos, rho_neg = pos / n_pos, neg / n_neg
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
 
 
@@ -192,9 +195,9 @@ def units_forward(neurons: list[Neuron], features: np.ndarray) -> np.ndarray:
 
 def units_to_layer(neurons: list[Neuron]) -> tuple[LayerParams, np.ndarray, np.ndarray]:
     """Pack grown units into layer weights plus the linear head (C, sum of d)."""
-    weights = np.stack([unit.w for unit in neurons])
+    weights = np.array([unit.w for unit in neurons])
     biases = np.array([unit.b for unit in neurons])
-    head_w = np.stack([unit.c for unit in neurons], axis=1)  # (dl, width)
+    head_w = np.array([unit.c for unit in neurons], order="F").T  # (dl, width), C order
     head_b = np.sum([unit.d for unit in neurons], axis=0)
     return LayerParams(weights, biases), head_w, head_b
 
@@ -209,6 +212,9 @@ class LayerState:
     against the stacked residual columns has the same Gram matrix and the
     same correlations as the fit of the design against the row mean of the
     residuals, so the row mean is what gets fitted.
+
+    ``residuals`` is output-major, (dl, m) in C order, so per-output passes
+    read contiguous rows; optimal_bias and compute_cd take its transpose.
     """
 
     def __init__(
@@ -219,24 +225,23 @@ class LayerState:
         current_lambda: float,
     ):
         self.features = np.asarray(features, dtype=float)
-        self.residuals = np.array(targets, dtype=float)
-        if self.residuals.ndim == 1:
-            self.residuals = self.residuals[:, None]
-        self.m, self.dl = self.residuals.shape
+        self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
+        self.dl, self.m = self.residuals.shape
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
         self.neurons: list[Neuron] = []
 
     def train_mse(self) -> float:
-        return float(np.sum(self.residuals * self.residuals) / self.m)
+        flat = self.residuals.ravel()
+        return float(flat @ flat / self.m)
 
     def fit_hyperplane(self) -> tuple[np.ndarray, float]:
         """Sparse fit for the normal direction (bias discarded), then the
         exact split search for the bias. Advances the penalty schedule.
         Raises SolverError when the lasso solve hits its step cap."""
         sched = scheduled_lasso_fit(
-            self.design, self.residuals.mean(axis=1), self.lasso_cfg, self.current_lambda
+            self.design, self.residuals.mean(axis=0), self.lasso_cfg, self.current_lambda
         )
         if not sched.converged:
             raise SolverError(
@@ -246,35 +251,42 @@ class LayerState:
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
             raise ZeroWeightVector("penalty schedule exhausted with all-zero weights")
-        b, _ = optimal_bias(sched.w, self.features, self.residuals)
+        b, _ = optimal_bias(sched.w, self.features, self.residuals.T)
         return sched.w, b
 
     def _apply(self, side: np.ndarray, c: np.ndarray, d: np.ndarray, sign: float) -> None:
-        self.residuals += sign * (side[:, None] * c + d)
+        step = np.outer(sign * c, side)
+        step += sign * d[:, None]
+        self.residuals += step
 
     def _side_imbalance(self, side: np.ndarray) -> float:
-        worst = 0.0
-        for mask in (side > 0, side < 0):
-            if mask.any():
-                worst = max(worst, float(np.max(np.abs(self.residuals[mask].sum(axis=0)))))
-        return worst
+        n_pos = int(np.count_nonzero(side > 0))
+        sides = zip(_side_sums(self.residuals, side), (n_pos, self.m - n_pos))
+        return max(float(np.max(np.abs(s))) for s, n in sides if n)
 
     def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
         residual side imbalance after the update). An intercept unit, for
         when no hyperplane can be oriented, has w = 0 and b = 1: every row
-        is on the positive side and d absorbs the residual means."""
+        is on the positive side and d absorbs the residual means. A fitted
+        unit that would raise the training error, its gain lost in round-off,
+        is not kept: ZeroWeightVector, with residuals and units as before."""
         pre = self.train_mse()
         if intercept:
             w, b = np.zeros(self.features.shape[1]), 1.0
         else:
             w, b = self.fit_hyperplane()
         side = neuron_side(self.features, w, b)
-        c, d = compute_cd(self.residuals, side)
+        c, d = compute_cd(self.residuals.T, side)
+        saved = self.residuals.copy()
         self._apply(side, c, d, -1.0)
+        post = self.train_mse()
+        if post > pre and not intercept:
+            self.residuals = saved
+            raise ZeroWeightVector("no hyperplane lowers the training error")
         self.neurons.append(Neuron(w, float(b), c, d))
         predicted = float(np.sum(c * c - d * d))
-        return pre - self.train_mse(), predicted, self._side_imbalance(side)
+        return pre - post, predicted, self._side_imbalance(side)
 
     def replace_pass(self, cap: int) -> tuple[int, float]:
         """Refit the oldest units one by one against current residuals. Each
@@ -298,7 +310,7 @@ class LayerState:
                 self.residuals = saved
                 break
             side = neuron_side(self.features, w, b)
-            c, d = compute_cd(self.residuals, side)
+            c, d = compute_cd(self.residuals.T, side)
             self._apply(side, c, d, -1.0)
             if self.train_mse() < pre:
                 self.neurons[k] = Neuron(w, float(b), c, d)
@@ -308,9 +320,6 @@ class LayerState:
                 self.residuals = saved
                 break
         return accepted, worst_imbalance
-
-    def snapshot(self) -> list[Neuron]:
-        return [unit.copy() for unit in self.neurons]
 
 
 @dataclass
@@ -347,9 +356,7 @@ def build_layer(
     state = LayerState(features, targets, cfg.lasso, current_lambda or cfg.lasso.lambda0)
     has_val = val_features is not None
     if has_val:
-        val_t = np.array(val_targets, dtype=float)
-        if val_t.ndim == 1:
-            val_t = val_t[:, None]
+        val_t = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
         val_pred = np.zeros_like(val_t)
 
     best_neurons: list[Neuron] = []
@@ -370,11 +377,13 @@ def build_layer(
         if has_val:
             val_pred += neuron_side(val_features, new.w, new.b)[:, None] * new.c + new.d
         # A lone unit has nothing to replace, so an intercept unit stays.
+        before = state.neurons[: cfg.replace_cap]
         replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
         if replacements:
             imbalance = max(imbalance, repl_imbalance)
             if has_val:
-                val_pred = units_forward(state.neurons, val_features)
+                val_pred += units_forward(state.neurons[:replacements], val_features)
+                val_pred -= units_forward(before[:replacements], val_features)
 
         train_mse = state.train_mse()
         val_mse = None
@@ -400,7 +409,7 @@ def build_layer(
 
         if has_val:
             if val_mse < best_val * (1.0 - cfg.min_layer_gain) or not best_neurons:
-                best_neurons = state.snapshot()
+                best_neurons = list(state.neurons)
                 best_val = val_mse
                 best_train = train_mse
                 bad_streak = 0
@@ -409,7 +418,7 @@ def build_layer(
                 if bad_streak >= cfg.patience:
                     break
         else:
-            best_neurons = state.snapshot()
+            best_neurons = list(state.neurons)
             best_train = train_mse
         if aborted:
             break

@@ -1,4 +1,23 @@
+import shutil
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
 from bannet.model import ActivationParams, BannModel, Dataset, LayerParams
+
+# Property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays reproducible.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from the source files,
+    # at collection time; keep that cache out of the working tree.
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def make_random_model(rng, d0=None, n_hidden=None, dl=None, max_width=8, activation=None):

@@ -249,12 +249,11 @@ def test_criterion_6_lasso_kkt_suite():
     )
 
 
-def _plant_measurements(seed: int = 0) -> Dataset:
+def _plant_measurements(seed=0, m: int = 9568) -> Dataset:
     """Synthetic stand-in shaped like the combined-cycle power plant data:
-    9568 rows, four drivers (ambient temperature, exhaust vacuum, pressure,
+    9568 rows by default, four drivers (ambient temperature, exhaust vacuum, pressure,
     humidity), one strongly linear output with mild nonlinearity and noise."""
     rng = np.random.default_rng(seed)
-    m = 9568
     t = rng.uniform(2.0, 37.0, m)
     v = np.clip(25.0 + 1.3 * (t - 2.0) + rng.normal(0, 6.0, m), 25.0, 82.0)
     p = rng.normal(1013.0, 6.0, m)
@@ -280,6 +279,20 @@ def _run_envelope(dataset: Dataset, seed: int):
     depth = len(model.hidden)
     width = max(layer.width for layer in model.hidden)
     return mse(model, test), depth, width
+
+
+def test_criterion_1_deep_layer_records_never_rise():
+    # Two 600-row plant draws on which a layer-2 unit whose gain lies below
+    # round-off raised the training error by a few ulps when it was kept.
+    cfg = TrainConfig(max_neurons_per_layer=16, max_hidden_layers=2)
+    for seed in (1104, 1106):
+        train, val, _ = split_dataset(_plant_measurements([seed, 35], 600), SplitSpec(seed=seed))
+        _, report = build_network(train, cfg, val_data=val)
+        growth = report.records[:-1]
+        assert {r.layer for r in growth} == {1, 2}
+        for layer in (1, 2):
+            mses = [r.train_mse for r in growth if r.layer == layer]
+            assert all(b <= a for a, b in zip(mses, mses[1:])), f"seed {seed} layer {layer}"
 
 
 def test_criterion_7_plant_envelope():

@@ -135,6 +135,13 @@ def test_config_error_exit_code(tmp_path):
     assert code == 3
 
 
+def run_cli_process(argv):
+    """Run the command line in a fresh interpreter, so a traceback shows."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bannet.__file__)))
+    return subprocess.run([sys.executable, "-m", "bannet.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("source", ["flag", "manifest"])
 def test_bad_lasso_setting_is_config_error(tmp_path, source):
     # --lambda0 0 and a manifest divisor of 1 both reach LassoConfig
@@ -150,11 +157,30 @@ def test_bad_lasso_setting_is_config_error(tmp_path, source):
             {"dataset": str(data), "labels": "1", "divisor": 1, "out_dir": str(out)}
         ), encoding="utf-8")
         argv = ["train", "--from-manifest", str(manifest)]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bannet.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "bannet.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = run_cli_process(argv)
     assert proc.returncode == 3
     assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("divisor", "1.5"),
+    ("max_layers", 2.5),
+    ("patience", True),
+])
+def test_manifest_field_of_wrong_type_is_data_error(tmp_path, field, value):
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    out = tmp_path / "run"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"dataset": str(data), "labels": "1", "out_dir": str(out), field: value}
+    ), encoding="utf-8")
+    proc = run_cli_process(["train", "--from-manifest", str(manifest)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error:")
+    assert field in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

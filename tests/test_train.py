@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bannet.data import SplitSpec, split_dataset
 from bannet.errors import ConfigError, SolverError, ZeroWeightVector
@@ -13,6 +17,7 @@ from bannet.model import (
     count_nonzero_parameters,
     hidden_pattern,
     mse,
+    squared_error_sums,
 )
 from bannet.solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 from bannet.train import (
@@ -97,6 +102,47 @@ def test_optimal_bias_matches_exhaustive_enumeration():
 def test_optimal_bias_rejects_zero_normal():
     with pytest.raises(ZeroWeightVector):
         optimal_bias(np.zeros(3), np.ones((4, 3)), np.ones((4, 1)))
+
+
+@st.composite
+def split_problems(draw, unit_design=False):
+    """A normal w, features and residuals for one split search. A unit design
+    has +/-1 features, so many projections tie, and integer residuals, whose
+    prefix sums are exact in any row order."""
+    m, d, dl = draw(st.integers(1, 30)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = draw(arrays(float, d, elements=st.floats(-10, 10)).filter(lambda v: np.any(v != 0)))
+    if unit_design:
+        features = draw(arrays(float, (m, d), elements=st.sampled_from([-1.0, 1.0])))
+        values = st.integers(-1000, 1000).map(float)
+    else:
+        features = draw(arrays(float, (m, d), elements=st.floats(-10, 10)))
+        # Magnitudes in [2^-20, 2^20] stay normal doubles under 2^+-600.
+        values = st.floats(-(2.0**20), 2.0**20).filter(lambda v: v == 0 or abs(v) >= 2.0**-20)
+    return w, features, draw(arrays(float, (m, dl), elements=values))
+
+
+@given(split_problems(), st.integers(-600, 600))
+def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
+    w, features, residuals = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b, _ = optimal_bias(w, features, residuals)
+        scaled_b, _ = optimal_bias(w, features, np.ldexp(residuals, k))
+    assert scaled_b == b
+
+
+@given(split_problems(unit_design=True), st.data())
+def test_optimal_bias_invariant_under_row_permutation_of_tied_designs(problem, data):
+    w, features, residuals = problem
+    perm = np.array(data.draw(st.permutations(range(len(features)))), dtype=int)
+    b, obj = optimal_bias(w, features, residuals)
+    assert optimal_bias(w, features[perm], residuals[perm])[0] == b
+    # Integer residuals tie often, so the oracle may pick another split of
+    # equal objective; its objective is what must match.
+    _, oracle_obj = brute_force_best_split(w, features, residuals)
+    scale = 1.0 + abs(oracle_obj)
+    assert abs(obj - oracle_obj) <= 1e-9 * scale
+    assert abs(split_objective(features @ w, residuals, b) - oracle_obj) <= 1e-9 * scale
 
 
 def test_compute_cd_hand_example():
@@ -206,7 +252,7 @@ def test_add_neuron_zeroes_residual_sums():
     drop, predicted, imbalance = state.add_neuron()
     assert imbalance <= 1e-9 * 40
     # total residual sum is zero once d has absorbed the side means
-    assert np.max(np.abs(state.residuals.sum(axis=0))) <= 1e-9 * 40
+    assert np.max(np.abs(state.residuals.sum(axis=1))) <= 1e-9 * 40
 
 
 def test_add_neuron_drop_matches_presplit_identity():
@@ -214,12 +260,12 @@ def test_add_neuron_drop_matches_presplit_identity():
     for _ in range(20):
         m = int(rng.integers(5, 40))
         state = layer_state(rng.normal(size=(m, 2)), rng.normal(size=(m, 1)) * 3)
-        pre = state.residuals.copy()
+        pre = state.residuals.copy()  # (dl, m)
         state.add_neuron()
         unit = state.neurons[-1]
         side = neuron_side(state.features, unit.w, unit.b)
         expected = 0.0
-        for col in pre.T:
+        for col in pre:
             for mask in (side > 0, side < 0):
                 if mask.any():
                     expected += col[mask].sum() ** 2 / mask.sum()
@@ -237,6 +283,36 @@ def test_add_neuron_drop_equals_cd_identity_from_second_unit():
         drop, predicted, _ = state.add_neuron()
         assert drop == pytest.approx(predicted, rel=1e-9, abs=1e-12)
         assert state.train_mse() < pre
+
+
+def test_side_imbalance_matches_masked_sums():
+    rng = np.random.default_rng(22)
+    state = layer_state(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
+    for _ in range(3):
+        state.add_neuron()
+    sides = [neuron_side(state.features, u.w, u.b) for u in state.neurons]
+    sides += [np.ones(50), -np.ones(50), np.where(rng.normal(size=50) < 0, -1.0, 1.0)]
+    tol = 1e-12 * np.abs(state.residuals).sum()
+    for side in sides:
+        want = max(
+            float(np.max(np.abs(state.residuals[:, mask].sum(axis=1))))
+            for mask in (side > 0, side < 0)
+            if mask.any()
+        )
+        assert state._side_imbalance(side) == pytest.approx(want, rel=1e-12, abs=tol)
+
+
+def test_add_neuron_refuses_a_unit_that_raises_the_error(monkeypatch):
+    rng = np.random.default_rng(24)
+    state = layer_state(rng.normal(size=(30, 2)), rng.normal(size=(30, 1)))
+    state.add_neuron()
+    before = state.residuals.copy()
+    # coefficients that shift every residual away from its zero mean
+    monkeypatch.setattr("bannet.train.compute_cd", lambda r, side: (np.zeros(1), np.ones(1)))
+    with pytest.raises(ZeroWeightVector):
+        state.add_neuron()
+    assert np.array_equal(state.residuals, before)
+    assert len(state.neurons) == 1
 
 
 def test_replace_pass_noop_with_single_unit():
@@ -313,6 +389,36 @@ def test_build_layer_patience_one_stops_at_width_one():
     cfg = TrainConfig(max_neurons_per_layer=10, max_hidden_layers=1, patience=1)
     result = build_layer(x, y, val_x, val_y, cfg)
     assert result.width == 1
+
+
+def test_build_layer_validation_error_matches_recompute(monkeypatch):
+    # Validation predictions are updated by the units that changed; every
+    # record's val_mse must agree with predicting from that step's units.
+    rng = np.random.default_rng(23)
+    x, val_x = rng.normal(size=(400, 4)), rng.normal(size=(200, 4))
+
+    def labels(v):
+        return np.column_stack([np.sin(2 * v[:, 0]) + 0.5 * v[:, 1] * v[:, 2], v[:, 3] - v[:, 0]])
+
+    y = labels(x) + 0.1 * rng.normal(size=(400, 2))
+    val_y = labels(val_x) + 0.1 * rng.normal(size=(200, 2))
+    steps = []
+    replace_pass = LayerState.replace_pass
+
+    def recording(self, cap):
+        out = replace_pass(self, cap)
+        steps.append(list(self.neurons))
+        return out
+
+    monkeypatch.setattr(LayerState, "replace_pass", recording)
+    records = []
+    cfg = TrainConfig(max_neurons_per_layer=40, max_hidden_layers=1, patience=40)
+    build_layer(x, y, val_x, val_y, cfg, records=records)
+    assert len(records) == len(steps) == 40
+    assert sum(r.replacements for r in records) >= 10
+    for units, r in zip(steps, records):
+        want = squared_error_sums(units_forward(units, val_x), val_y)[0] / 200
+        assert r.val_mse == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_build_layer_constant_targets_aborts_at_width_one():
