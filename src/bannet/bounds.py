@@ -7,10 +7,11 @@ yields a partition. No network sharing those layers can do better on the
 training set than predicting the per-region label mean (squared error) or the
 per-region majority label (0-1 error), which gives computable lower bounds.
 
-A partition is stored as one region id per row. Rows are grouped by packing
-each activation pattern into bits and sorting the packed keys once, and the
-floors are per-region sums taken with ``np.bincount``, so neither step loops
-over rows or regions in Python.
+A partition is one region id per row and one layer output per region. The
+rows of a depth-(k-1) region share their layer-k input, so depth k refines
+depth k-1 by pushing one row per region through layer k. Patterns are grouped
+by sorting their bit-packed keys once, and the floors are per-region sums by
+``np.bincount``, so no step loops over rows or regions in Python.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ class RegionPartition:
     """Rows grouped by their exact activation pattern after hidden layer k.
 
     ``region[i]`` is the region of row i. Regions are numbered 0 to
-    ``n_regions - 1`` in the order of their first row.
+    ``n_regions - 1`` in the order of their first row. ``reps[r]`` is the
+    layer-k output shared by the rows of region r.
     """
 
     layer_depth: int
     region: np.ndarray
     n_regions: int
+    reps: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -47,24 +50,34 @@ class RegionPartition:
         return tuple(np.split(order, ends[:-1]))
 
 
-def partition_regions(model: BannModel, dataset: Dataset, k: int) -> RegionPartition:
+def partition_regions(model: BannModel, dataset: Dataset, k: int,
+                      coarser: RegionPartition | None = None) -> RegionPartition:
     """Group dataset rows by equality of their layer-k activation pattern.
 
     Exact equality is safe: activation outputs are drawn from a two-element
     set, so a pattern is fully described by which units output h2.
+
+    ``coarser``, a partition of the same rows at a lower depth (by default
+    depth 0, each row its own region), is refined: only its representatives
+    go through the remaining layers, so each distinct layer input is
+    evaluated once. A row-by-row pass can round equal inputs differently next
+    to a threshold; the two agree wherever pre-activations are exact.
     """
-    patterns = hidden_pattern(model, dataset.features, k)
+    if coarser is None:
+        coarser = RegionPartition(0, np.arange(dataset.m), dataset.m, dataset.features)
+    _check_rows(coarser, dataset.m)
+    patterns = hidden_pattern(model, coarser.reps, k, start=coarser.layer_depth)
     bits = np.packbits(patterns == model.activation.h2, axis=1)
     keys = np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(first.shape[0], dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(first.shape[0])
-    return RegionPartition(k, rank[inverse], int(first.shape[0]))
+    order = np.argsort(first)  # region ids in first-row order
+    region = np.argsort(order)[inverse][coarser.region]
+    return RegionPartition(k, region, len(first), patterns[first[order]])
 
 
 def _check_rows(partition: RegionPartition, m: int) -> None:
     if partition.n_rows != m:
-        raise DataError(f"partition covers {partition.n_rows} rows, labels have {m}")
+        raise DataError(f"partition covers {partition.n_rows} rows, the data has {m}")
 
 
 def regression_lower_bound(partition: RegionPartition, labels: np.ndarray) -> float:
@@ -101,9 +114,9 @@ def classification_lower_bound(partition: RegionPartition, labels: np.ndarray) -
 
 
 def bound_chain(model: BannModel, dataset: Dataset) -> list[tuple[int, int, float]]:
-    """(depth, region count, squared-error floor) for every hidden depth."""
-    rows = []
+    """(depth, region count, squared-error floor) per hidden depth, each refining the last."""
+    rows, part = [], None
     for k in range(1, model.depth):
-        part = partition_regions(model, dataset, k)
+        part = partition_regions(model, dataset, k, part)
         rows.append((k, part.n_regions, regression_lower_bound(part, dataset.labels)))
     return rows

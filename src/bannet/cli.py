@@ -94,6 +94,8 @@ def load_manifest(path: str) -> RunManifest:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} must be a JSON object")
     fields = RunManifest.__dataclass_fields__
     unknown = set(doc) - set(fields)
     if unknown:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +53,18 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     spec = parse_label_spec(label_columns)
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = list(reader)
+            header = next(csv.reader(handle), None)
+            values = None if header is None else _c_parse(handle, len(header))
+            if values is None:
+                handle.seek(0)
+                body = list(csv.reader(handle))[1:]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
-    if not rows:
+    if header is None:
         raise DataError(f"{path}: file is empty")
-    header = [name.strip() for name in rows[0]]
+    header = [name.strip() for name in header]
     if len(set(header)) != len(header):
         dupes = sorted({n for n in header if header.count(n) > 1})
         raise DataError(f"{path}: duplicate header column(s): {', '.join(dupes)}")
@@ -82,12 +87,7 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
             raise DataError(f"{path}: no feature columns left")
     feature_idx = [i for i in range(n_cols) if i not in label_idx]
 
-    body = rows[1:]
-    try:
-        values = np.array(body, dtype=float)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (len(body), n_cols):
+    if values is None:
         values = _parse_cells(path, header, body)
     if values.shape[0] < 1:
         raise DataError(f"{path}: no data rows")
@@ -100,6 +100,21 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
         feature_names=tuple(header[i] for i in feature_idx),
         label_names=tuple(header[i] for i in label_idx),
     )
+
+
+def _c_parse(handle, n_cols: int) -> np.ndarray | None:
+    """The remaining lines parsed by numpy's C parser, which rounds like ``float``.
+    None where it could differ from ``_parse_cells``: if it raised, warned (no
+    data) or gave another shape than (lines, header width), as blank lines do."""
+    lines = itertools.count()  # zip stops at the handle's end: counts its lines
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt((line for line, _ in zip(handle, lines)),
+                                delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    return values if values.shape == (next(lines), n_cols) else None
 
 
 def _parse_cells(path: str, header: list[str], body: list[list[str]]) -> np.ndarray:

@@ -159,9 +159,9 @@ def activate(z, params: ActivationParams) -> np.ndarray:
     return np.where(z < params.t, params.h1, params.h2)
 
 
-def _propagate(model: BannModel, x, upto: int, with_output: bool) -> np.ndarray:
+def _propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0) -> np.ndarray:
     """Push a single input vector or a batch of row vectors through hidden
-    layers 1..upto and, if asked, the output layer.
+    layers start+1..upto and, if asked, the output layer.
 
     Rows go through all layers a block at a time, and a block holds at most
     BLOCK_VALUES activations of the widest layer, so no temporary grows with
@@ -173,21 +173,21 @@ def _propagate(model: BannModel, x, upto: int, with_output: bool) -> np.ndarray:
     batch = x.reshape(1, -1) if single else x
     if batch.ndim != 2:
         raise DimensionError(f"input must be a vector or a batch of rows, got shape {x.shape}")
-    layers = model.hidden[:upto] + ((model.output,) if with_output else ())
+    layers = model.hidden[start:upto] + ((model.output,) if with_output else ())
     # BannModel checked that the widths of consecutive layers agree.
     if batch.shape[1] != layers[0].in_width:
         raise DimensionError(
-            f"layer 1: input width {batch.shape[1]}, expected {layers[0].in_width}"
+            f"layer {start + 1}: input width {batch.shape[1]}, expected {layers[0].in_width}"
         )
     out = np.empty((batch.shape[0], layers[-1].width))
     step = max(1, BLOCK_VALUES // max(layer.width for layer in layers))
-    for start in range(0, batch.shape[0], step):
-        block = batch[start : start + step]
-        for layer in model.hidden[:upto]:
+    for row in range(0, batch.shape[0], step):
+        block = batch[row : row + step]
+        for layer in model.hidden[start:upto]:
             block = activate(block @ layer.weights.T + layer.biases, model.activation)
         if with_output:
             block = block @ model.output.weights.T + model.output.biases
-        out[start : start + step] = block
+        out[row : row + step] = block
     return out[0] if single else out
 
 
@@ -196,11 +196,11 @@ def forward(model: BannModel, x) -> np.ndarray:
     return _propagate(model, x, len(model.hidden), with_output=True)
 
 
-def hidden_pattern(model: BannModel, x, k: int) -> np.ndarray:
-    """Activation pattern after hidden layer k: a vector over {h1, h2}."""
-    if not 1 <= k <= model.depth - 1:
-        raise DimensionError(f"hidden layer index {k} out of range 1..{model.depth - 1}")
-    return _propagate(model, x, k, with_output=False)
+def hidden_pattern(model: BannModel, x, k: int, start: int = 0) -> np.ndarray:
+    """Pattern over {h1, h2} after hidden layer k of x, layer ``start``'s output (0: input)."""
+    if not 0 <= start < k <= model.depth - 1:
+        raise DimensionError(f"hidden layers {start + 1}..{k} out of range 1..{model.depth - 1}")
+    return _propagate(model, x, k, with_output=False, start=start)
 
 
 def mse(model: BannModel, data: Dataset) -> float:

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import bannet.bounds
 from bannet.bounds import (
     bound_chain,
     classification_lower_bound,
@@ -247,3 +250,69 @@ def test_bound_label_size_mismatch():
     part = partition_regions(model, data, 1)
     with pytest.raises(DataError):
         regression_lower_bound(part, np.zeros((11, 1)))
+
+
+def dyadic_model(rng, widths, activation):
+    """Weights and biases on a 1/8 grid: with inputs on a 1/8 grid too, every
+    pre-activation is exact, so no evaluation order can change a pattern."""
+    layers = [
+        LayerParams(rng.integers(-16, 17, size=(widths[k + 1], widths[k])) / 8.0,
+                    rng.integers(-16, 17, size=widths[k + 1]) / 8.0)
+        for k in range(len(widths) - 1)
+    ]
+    return BannModel(activation, tuple(layers[:-1]), layers[-1])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.lists(st.sampled_from([1, 8, 9, 64, 65]), min_size=1, max_size=4),
+    activation=st.sampled_from(
+        [SIGN, ActivationParams(0.5, 0.0, 1.0), ActivationParams(-1.0, -2.0, 3.0)]),
+    m=st.integers(1, 60),
+)
+def test_bound_chain_refinement_matches_row_loop_reference(seed, hidden, activation, m):
+    rng = np.random.default_rng(seed)
+    d0 = int(rng.integers(1, 5))
+    model = dyadic_model(rng, [d0, *hidden, 1], activation)
+    pool = rng.integers(-16, 17, size=(max(1, m // 3), d0)) / 8.0
+    data = Dataset(pool[rng.integers(0, pool.shape[0], m)], rng.normal(size=(m, 1)))
+
+    chained = []
+
+    def record(*args, **kwargs):
+        chained.append(partition_regions(*args, **kwargs))
+        return chained[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bannet.bounds, "partition_regions", record)
+        rows = bound_chain(model, data)
+    assert [part.layer_depth for part in chained] == list(range(1, len(hidden) + 1))
+    for (k, count, floor), part in zip(rows, chained):
+        want = reference_indices(model, data, k)
+        want_region = np.empty(m, dtype=int)
+        for r, idx in enumerate(want):
+            want_region[idx] = r
+        assert count == part.n_regions == len(want)
+        assert np.array_equal(part.region, want_region)
+        assert floor == pytest.approx(reference_regression_floor(want, data.labels),
+                                      rel=1e-12, abs=1e-300)
+        patterns = hidden_pattern(model, data.features, k)
+        assert np.array_equal(part.reps, patterns[[idx[0] for idx in want]])
+        direct = partition_regions(model, data, k)
+        assert direct.n_regions == part.n_regions
+        assert np.array_equal(direct.region, part.region)
+        assert np.array_equal(direct.reps, part.reps)
+
+
+def test_partition_rejects_a_coarser_partition_that_does_not_fit():
+    rng = np.random.default_rng(13)
+    model = make_random_model(rng, d0=2, n_hidden=3, dl=1)
+    data = make_random_dataset(rng, m=20, d0=2, dl=1)
+    second = partition_regions(model, data, 2)
+    for k in (1, 2):
+        with pytest.raises(DimensionError):
+            partition_regions(model, data, k, second)
+    assert partition_regions(model, data, 3, second).layer_depth == 3
+    fewer = Dataset(data.features[:19], data.labels[:19])
+    with pytest.raises(DataError):
+        partition_regions(model, fewer, 3, second)

@@ -185,6 +185,15 @@ def test_manifest_field_of_wrong_type_is_data_error(tmp_path, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [5, None, ["dataset", "labels"]], ids=["number", "null", "list"])
+def test_manifest_that_is_not_an_object_is_data_error(tmp_path, doc):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    proc = run_cli_process(["train", "--from-manifest", str(manifest)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"data error: manifest {manifest} must be a JSON object\n"
+
+
 def test_training_abort_exit_code(tmp_path):
     # 5 rows at fractions 0.7/0.5 split 1/1/3: one training row cannot anchor
     # a hyperplane, so the first layer is unconstructible

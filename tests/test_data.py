@@ -1,5 +1,10 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bannet import ConfigError, DataError, SplitSpec, load_csv, split_dataset
 from bannet.model import Dataset
@@ -162,3 +167,82 @@ def test_split_spec_validation():
         SplitSpec(test_fraction=0.0)
     with pytest.raises(ConfigError):
         SplitSpec(val_fraction=1.0)
+
+
+# Each file either loads to these (feature, label) rows, bit for bit, or fails
+# with this message after "<path>: ". The C parser reads the well-formed
+# ones; the others take the cell-by-cell path.
+CSV_CASES = {
+    "blank line in the middle": ("a,y\n1,2\n\n3,4\n", "line 3 has 0 cells, expected 2"),
+    "blank line at the end": ("a,y\n1,2\n3,4\n\n", "line 4 has 0 cells, expected 2"),
+    "whitespace-only line": ("a,y\n1,2\n  \t\n3,4\n", "line 3 has 1 cells, expected 2"),
+    "hash cell": ("a,y\n1,2\n#,4\n", "line 3, column 'a': non-numeric cell '#'"),
+    "quoted cells": ('a,y\n"1.5",2\n" -3",4\n', [[1.5, 2.0], [-3.0, 4.0]]),
+    "quoted embedded comma": ('a,y\n1,2\n"1,5",4\n', "line 3, column 'a': non-numeric cell '1,5'"),
+    "digit separator": ("a,y\n1_0,2\n", [[10.0, 2.0]]),
+    "non-ASCII digits": ("a,y\n١٢,３\n", [[12.0, 3.0]]),
+    "CRLF endings": ("a,y\r\n1,2\r\n3,-0\r\n", [[1.0, 2.0], [3.0, -0.0]]),
+    "CRLF blank line": ("a,y\r\n1,2\r\n\r\n", "line 3 has 0 cells, expected 2"),
+    "no trailing newline": ("a,y\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    "header only": ("a,y\n", "no data rows"),
+    "UTF-8 BOM": ("﻿a,y\n0.1,2\n", [[0.1, 2.0]]),
+    "nan": ("a,y\n1,2\nnan,3\n", "non-finite values present"),
+    "inf": ("a,y\n1,2\n3,-inf\n", "non-finite values present"),
+    "every row short": ("a,b,y\n1,2\n3,4\n", "line 2 has 2 cells, expected 3"),
+}
+
+
+@pytest.mark.parametrize("text,want", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_load_csv_fast_path_keeps_values_and_messages(tmp_path, text, want):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        if isinstance(want, str):
+            with pytest.raises(DataError) as caught:
+                load_csv(str(path), 1)
+        else:
+            data = load_csv(str(path), 1)
+    assert [str(w.message) for w in seen] == []
+    if isinstance(want, str):
+        assert str(caught.value) == f"{path}: {want}"
+        return
+    got = np.hstack([data.features, data.labels])
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_load_csv_bad_utf8_deep_in_file_gives_the_csv_reader_message(tmp_path):
+    # The decoder's position is relative to its chunk, so the message must
+    # come from a fresh read of the whole file, not from the C parser's.
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,y\n" + b"1,2\n" * 3000 + b"\xff,3\n")
+    with open(path, encoding="utf-8", newline="") as handle:
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            list(csv.reader(handle))
+    with pytest.raises(DataError) as caught:
+        load_csv(str(path), 1)
+    assert str(caught.value) == f"{path} is not valid UTF-8: {decoding.value}"
+
+
+def decimal_strings():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        finite.map(repr),
+        finite.map(lambda v: "%.17g" % v),
+        st.tuples(st.integers(-10**6, 10**6), st.integers(0, 999)).map(
+            lambda t: f"{t[0]}.{t[1]:03d}"),
+        st.integers(-10**20, 10**20).map(str),
+    )
+
+
+@given(st.lists(st.tuples(decimal_strings(), decimal_strings()), min_size=1, max_size=30),
+       st.booleans())
+def test_load_csv_parses_decimal_strings_like_float(tmp_path_factory, rows, quoted):
+    path = tmp_path_factory.getbasetemp() / "decimals.csv"
+    cell = '"{}"' if quoted else "{}"
+    lines = "".join(f"{cell.format(a)},{b}\n" for a, b in rows)
+    path.write_text("a,y\n" + lines, encoding="utf-8")
+    data = load_csv(str(path), 1)
+    want = np.array([[float(a), float(b)] for a, b in rows])
+    got = np.hstack([data.features, data.labels])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
