@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .approx import (
@@ -52,19 +52,19 @@ class RunManifest:
 
     dataset: str
     labels: str
-    test_fraction: float = 0.25
-    val_fraction: float = 0.20
-    seed: int = 0
-    max_neurons: int = 500
-    max_layers: int = 3
-    replace_cap: int = 10
-    patience: int = 20
-    min_layer_gain: float = 0.0
-    lambda0: float = 1e5
-    divisor: float = 1.5
-    max_halvings: int = 200
-    cd_tol: float = 1e-8
-    cd_max_iters: int = 10_000
+    test_fraction: float = SplitSpec.test_fraction
+    val_fraction: float = SplitSpec.val_fraction
+    seed: int = SplitSpec.seed
+    max_neurons: int = TrainConfig.max_neurons_per_layer
+    max_layers: int = TrainConfig.max_hidden_layers
+    replace_cap: int = TrainConfig.replace_cap
+    patience: int = TrainConfig.patience
+    min_layer_gain: float = TrainConfig.min_layer_gain
+    lambda0: float = LassoConfig.lambda0
+    divisor: float = LassoConfig.divisor
+    max_halvings: int = LassoConfig.max_halvings
+    cd_tol: float = LassoConfig.cd_tol
+    cd_max_iters: int = LassoConfig.cd_max_iters
     out_dir: str = "."
     software_version: str = __version__
 
@@ -72,20 +72,13 @@ class RunManifest:
         return SplitSpec(self.test_fraction, self.val_fraction, self.seed)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            max_neurons_per_layer=self.max_neurons,
-            max_hidden_layers=self.max_layers,
-            replace_cap=self.replace_cap,
-            patience=self.patience,
-            lasso=LassoConfig(
-                lambda0=self.lambda0,
-                divisor=self.divisor,
-                max_halvings=self.max_halvings,
-                cd_tol=self.cd_tol,
-                cd_max_iters=self.cd_max_iters,
-            ),
-            min_layer_gain=self.min_layer_gain,
-        )
+        lasso = LassoConfig(lambda0=self.lambda0, divisor=self.divisor,
+                            max_halvings=self.max_halvings, cd_tol=self.cd_tol,
+                            cd_max_iters=self.cd_max_iters)
+        return TrainConfig(max_neurons_per_layer=self.max_neurons,
+                           max_hidden_layers=self.max_layers, replace_cap=self.replace_cap,
+                           patience=self.patience, lasso=lasso,
+                           min_layer_gain=self.min_layer_gain)
 
 
 def load_manifest(path: str) -> RunManifest:
@@ -185,14 +178,17 @@ def run_bounds(model_path: str, data_path: str, labels: str | None) -> int:
 
 
 def run_demo(args) -> int:
+    try:
+        model = (build_square_approximator(args.r) if args.shape == "square"
+                 else build_product_approximator(args.m, args.delta))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.shape == "square":
-        model = build_square_approximator(args.r)
         claimed = 1.0 / (2 * args.r)
         measured = square_grid_error(model)
         out = args.out or f"square_r{args.r}.json"
         label = f"square r={args.r}"
     else:
-        model = build_product_approximator(args.m, args.delta)
         claimed = 3.0 * args.m * args.m * args.delta
         measured = product_grid_error(model, args.m)
         out = args.out or f"product_m{args.m:g}_d{args.delta:g}.json"
@@ -223,20 +219,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"bannet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a network from a CSV dataset")
-    train.add_argument("--data", help="CSV file with a header row")
-    train.add_argument("--labels", help="label columns: trailing count or comma-separated names")
-    train.add_argument("--test-frac", type=float, default=0.25)
-    train.add_argument("--val-frac", type=float, default=0.20)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--max-layers", type=int, default=3)
-    train.add_argument("--max-neurons", type=int, default=500)
-    train.add_argument("--replace-cap", type=int, default=10)
-    train.add_argument("--patience", type=int, default=20)
-    train.add_argument("--lambda0", type=float, default=1e5)
-    train.add_argument("--min-layer-gain", type=float, default=0.0)
-    train.add_argument("--out", help="output directory")
+    # Each setting's dest is its RunManifest field. A flag left out is absent
+    # from the parsed settings, so the field keeps its RunManifest default.
+    train = sub.add_parser("train", help="train a network from a CSV dataset",
+                           argument_default=argparse.SUPPRESS)
+    settings = [
+        train.add_argument("--data", dest="dataset", help="CSV file with a header row"),
+        train.add_argument("--labels", help="label columns: trailing count or comma-separated names"),
+        train.add_argument("--test-frac", dest="test_fraction", type=float),
+        train.add_argument("--val-frac", dest="val_fraction", type=float),
+        train.add_argument("--seed", type=int),
+        train.add_argument("--max-layers", type=int),
+        train.add_argument("--max-neurons", type=int),
+        train.add_argument("--replace-cap", type=int),
+        train.add_argument("--patience", type=int),
+        train.add_argument("--lambda0", type=float),
+        train.add_argument("--min-layer-gain", type=float),
+        train.add_argument("--out", dest="out_dir", help="output directory"),
+    ]
     train.add_argument("--from-manifest", help="rerun a recorded manifest")
+    train.set_defaults(flags={a.dest: a.option_strings[0] for a in settings})
 
     ev = sub.add_parser("evaluate", help="evaluate a saved model on a CSV dataset")
     ev.add_argument("--model", required=True)
@@ -268,27 +270,19 @@ def build_parser() -> _Parser:
 
 
 def _train_manifest(args) -> RunManifest:
-    if args.from_manifest:
-        manifest = load_manifest(args.from_manifest)
-        if args.out:
-            manifest.out_dir = args.out
-        return manifest
-    if not args.data or not args.labels or not args.out:
+    # An empty value counts as a flag left out.
+    settings = {k: v for k, v in vars(args).items() if k != "command" and v != ""}
+    flags = settings.pop("flags")
+    source = settings.pop("from_manifest", None)
+    if source is not None:
+        others = [flags[k] for k in settings if k != "out_dir"]
+        if others:
+            raise ConfigError(f"--from-manifest reruns the recorded settings and takes "
+                              f"only --out; drop {', '.join(others)}")
+        return replace(load_manifest(source), **settings)
+    if not {"dataset", "labels", "out_dir"} <= settings.keys():
         raise ConfigError("train requires --data, --labels and --out (or --from-manifest)")
-    return RunManifest(
-        dataset=args.data,
-        labels=args.labels,
-        test_fraction=args.test_frac,
-        val_fraction=args.val_frac,
-        seed=args.seed,
-        max_neurons=args.max_neurons,
-        max_layers=args.max_layers,
-        replace_cap=args.replace_cap,
-        patience=args.patience,
-        min_layer_gain=args.min_layer_gain,
-        lambda0=args.lambda0,
-        out_dir=args.out,
-    )
+    return RunManifest(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -78,6 +78,9 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
             )
         label_idx = list(range(n_cols - spec, n_cols))
     else:
+        if len(set(spec)) != len(spec):
+            dupes = sorted({n for n in spec if spec.count(n) > 1})
+            raise DataError(f"{path}: duplicate label column(s): {', '.join(dupes)}")
         try:
             label_idx = [header.index(name) for name in spec]
         except ValueError:

@@ -22,7 +22,7 @@ class ConfigError(BannetError):
 
 
 class SolverError(BannetError):
-    """Linear solver failed (numerically singular beyond the ridge jitter)."""
+    """A lasso solve reached its step cap before its KKT test passed."""
 
 
 class ZeroWeightVector(BannetError):

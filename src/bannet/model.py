@@ -205,8 +205,6 @@ def hidden_pattern(model: BannModel, x, k: int, start: int = 0) -> np.ndarray:
 
 def mse(model: BannModel, data: Dataset) -> float:
     """Mean over examples of the squared Euclidean prediction error."""
-    if data.m == 0:
-        raise DataError("cannot evaluate on an empty dataset")
     pred = forward(model, data.features)
     if pred.shape[1] != data.n_labels:
         raise DimensionError(

@@ -1,8 +1,7 @@
-"""Small dense linear solvers: ordinary least squares, and L1-regularized
-regression by an exact active-set method with the shrinking-penalty schedule
-that weakens the regularization until some weight survives. Training calls
-scheduled_lasso_fit on a cached StandardizedDesign; least_squares_fit and
-lasso_fit on a RegressionProblem are the references the tests check against.
+"""L1-regularized regression by an exact active-set method, with the
+shrinking-penalty schedule that weakens the regularization until some weight
+survives. Training calls scheduled_lasso_fit on a cached StandardizedDesign,
+one design per layer and one target vector per unit.
 
 The L1 objective is (1/(2n))*||X w + b - y||^2 + lambda*||w||_1 with the bias
 unpenalized. Features are standardized internally (zero mean, unit variance;
@@ -33,27 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
-
-
-@dataclass(frozen=True)
-class RegressionProblem:
-    design: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        design = np.asarray(self.design, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        if design.ndim != 2:
-            raise ValueError(f"design must be 2-D, got shape {design.shape}")
-        if targets.ndim != 1 or targets.shape[0] != design.shape[0]:
-            raise ValueError("targets must be a vector with one entry per design row")
-        if design.shape[0] < 1 or design.shape[1] < 1:
-            raise ValueError("design must have at least one row and one column")
-        if not (np.all(np.isfinite(design)) and np.all(np.isfinite(targets))):
-            raise ValueError("design and targets must be finite")
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "targets", targets)
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -81,14 +60,6 @@ class LassoConfig:
             raise ConfigError("iteration caps must be >= 1")
         if self.cd_tol <= 0:
             raise ConfigError("cd_tol must be positive")
-
-
-@dataclass
-class LinearFit:
-    w: np.ndarray
-    b: float
-    converged: bool = True
-    n_steps: int = 0
 
 
 @dataclass
@@ -134,39 +105,15 @@ class StandardizedDesign:
         return w_raw, target_mean - float(w_raw @ self.mean)
 
 
-def least_squares_fit(problem: RegressionProblem) -> LinearFit:
-    """Minimize ||X w + b - y||^2; rank deficiency is handled by a tiny ridge
-    jitter (1e-10 * trace/p) on the normal equations, which picks a solution
-    near the minimum-norm one."""
-    x = problem.design
-    y = problem.targets
-    p = x.shape[1]
-    x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
-    normal = xc.T @ xc
-    trace = float(np.trace(normal))
-    if trace == 0.0:
-        # Every column is constant (or zero); only the intercept is determined.
-        return LinearFit(np.zeros(p), y_mean)
-    normal = normal + np.eye(p) * (1e-10 * trace / p)
-    try:
-        w = np.linalg.solve(normal, xc.T @ yc)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"normal equations singular beyond jitter: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise SolverError("normal equations produced non-finite coefficients")
-    return LinearFit(w, y_mean - float(w @ x_mean))
-
-
 def _active_set_fit(
     design: StandardizedDesign,
     y_mean: float,
     q: np.ndarray,
     lam: float,
     cfg: LassoConfig,
-) -> LinearFit:
+) -> tuple[np.ndarray, float, bool]:
+    """Raw-space weights, bias and KKT convergence of the fit at penalty lam
+    of the targets with mean y_mean and correlations q (see correlations)."""
     gram = design.gram
     w = np.zeros(design.p)
     support: list[int] = []
@@ -236,23 +183,7 @@ def _active_set_fit(
         idx = np.array(support, dtype=np.intp)
         solved = not crosses or not support
     w_raw, b = design.unstandardize(w, y_mean)
-    return LinearFit(w_raw, b, converged, steps)
-
-
-def lasso_fit(
-    problem: RegressionProblem,
-    lam: float,
-    cfg: LassoConfig | None = None,
-) -> LinearFit:
-    """Exact L1-regularized fit by the active-set method; coordinates off the
-    support are exact zeros. At lam=0 this is the least-squares solution on
-    full-rank problems."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    cfg = cfg or LassoConfig()
-    design = StandardizedDesign(problem.design)
-    y_mean, q = design.correlations(problem.targets)
-    return _active_set_fit(design, y_mean, q, lam, cfg)
+    return w_raw, b, converged
 
 
 def scheduled_lasso_fit(
@@ -276,6 +207,6 @@ def scheduled_lasso_fit(
     while lam >= q_max and halvings < cfg.max_halvings:
         lam /= cfg.divisor
         halvings += 1
-    fit = _active_set_fit(design, y_mean, q, lam, cfg)
-    return ScheduledFit(fit.w, fit.b, lam, bool(np.any(fit.w != 0.0)), fit.converged)
+    w, b, converged = _active_set_fit(design, y_mean, q, lam, cfg)
+    return ScheduledFit(w, b, lam, bool(np.any(w != 0.0)), converged)
 

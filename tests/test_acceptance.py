@@ -23,19 +23,12 @@ from bannet.approx import (
 from bannet.bounds import bound_chain, classification_lower_bound, partition_regions
 from bannet.data import SplitSpec, split_dataset
 from bannet.model import Dataset, forward, mse, reparametrize_activation
-from bannet.solvers import (
-    LassoConfig,
-    RegressionProblem,
-    StandardizedDesign,
-    lasso_fit,
-    least_squares_fit,
-    scheduled_lasso_fit,
-)
+from bannet.solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 from bannet.train import TrainConfig, build_layer, build_network
 
 from conftest import make_random_dataset, make_random_model, random_activation
 from test_bounds import exhaustive_zero_one_floor
-from test_solvers import kkt_violation
+from test_solvers import kkt_violation, lasso_fit, least_squares_fit
 from test_train import brute_force_best_split, split_objective
 from bannet.train import compute_cd, optimal_bias
 
@@ -220,14 +213,14 @@ def test_criterion_6_lasso_kkt_suite():
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n)
         lam = float(rng.uniform(0.005, 1.5))
-        fit = lasso_fit(RegressionProblem(X, y), lam)
+        fit = lasso_fit(X, y, lam)
         worst_kkt = max(worst_kkt, kkt_violation(X, y, fit.w, lam))
         assert worst_kkt <= 1e-6
     for _ in range(20):
         X = rng.normal(size=(30, 4))
         y = X @ rng.normal(size=4) + 0.5 + 0.05 * rng.normal(size=30)
-        ls = least_squares_fit(RegressionProblem(X, y))
-        la = lasso_fit(RegressionProblem(X, y), 0.0)
+        ls = least_squares_fit(X, y)
+        la = lasso_fit(X, y, 0.0)
         assert np.max(np.abs(ls.w - la.w)) <= 1e-6
         assert abs(ls.b - la.b) <= 1e-6
     cfg = LassoConfig()

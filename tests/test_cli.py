@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import bannet
-from bannet import forward, load_model, mse
-from bannet.cli import main
+from bannet import LassoConfig, SplitSpec, TrainConfig, forward, load_model, mse
+from bannet.cli import RunManifest, load_manifest, main
 from bannet.data import load_csv
 
 
@@ -87,6 +88,35 @@ def test_manifest_rerun_reproduces_bytes(tmp_path):
                  "--out", str(out2)]) == 0
     assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def test_manifest_of_default_run_rebuilds_default_configs(tmp_path):
+    data = tmp_path / "d.csv"
+    write_dataset(data, m=40)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--labels", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc == asdict(RunManifest(str(data), "1", out_dir=str(out)))
+    manifest = load_manifest(str(out / "manifest.json"))
+    assert manifest.train_config() == TrainConfig()
+    assert manifest.train_config().lasso == LassoConfig()
+    assert manifest.split_spec() == SplitSpec()
+
+
+def test_manifest_rerun_rejects_other_settings(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_dataset(data, seed=5)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["train", "--data", str(data), "--labels", "1",
+                 "--max-neurons", "10", "--out", str(out1)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--from-manifest", str(out1 / "manifest.json"),
+                 "--seed", "9", "--test-frac", "0.3", "--out", str(out2)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: --from-manifest reruns the recorded settings and takes "
+        "only --out; drop --seed, --test-frac\n"
+    )
+    assert not out2.exists()
 
 
 def test_evaluate_consistent_with_report(tmp_path, capsys):
@@ -256,6 +286,20 @@ def test_demo_product_certificate(tmp_path, capsys):
     assert "measured_grid_error=" in printed
     measured = float(printed.split("measured_grid_error=")[1].split()[0])
     assert measured <= 3 * 0.05 + 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["square", "--r", "0"],
+    ["product", "--m", "1", "--delta", "2"],
+    ["product", "--m", "0", "--delta", "0.1"],
+], ids=["square-r0", "product-delta2", "product-m0"])
+def test_demo_bad_parameter_is_config_error(tmp_path, argv):
+    out = tmp_path / "demo.json"
+    proc = run_cli_process(["demo", *argv, "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_reparam_subcommand(tmp_path):

@@ -108,6 +108,14 @@ def test_load_csv_duplicate_header(tmp_path):
         load_csv(str(path), 1)
 
 
+@pytest.mark.parametrize("labels", ["y,y", ["y", "a", "y"]])
+def test_load_csv_duplicate_label_names(tmp_path, labels):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"d\.csv: duplicate label column\(s\): y$"):
+        load_csv(str(path), labels)
+
+
 def test_load_csv_missing_label_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -1,15 +1,42 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from bannet.errors import ConfigError
-from bannet.solvers import (
-    LassoConfig,
-    RegressionProblem,
-    StandardizedDesign,
-    lasso_fit,
-    least_squares_fit,
-    scheduled_lasso_fit,
-)
+from bannet.solvers import LassoConfig, StandardizedDesign, _active_set_fit, scheduled_lasso_fit
+
+
+class Fit(NamedTuple):
+    w: np.ndarray
+    b: float
+    converged: bool = True
+
+
+def lasso_fit(X, y, lam, cfg=None):
+    """One lasso fit at penalty lam, through the solver that training uses."""
+    design = StandardizedDesign(X)
+    return Fit(*_active_set_fit(design, *design.correlations(y), lam, cfg or LassoConfig()))
+
+
+def least_squares_fit(X, y):
+    """Reference fit minimizing ||X w + b - y||^2; rank deficiency is handled by
+    a tiny ridge jitter (1e-10 * trace/p) on the normal equations, which picks
+    a solution near the minimum-norm one."""
+    x = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = x.shape[1]
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    yc = y - y_mean
+    normal = xc.T @ xc
+    trace = float(np.trace(normal))
+    if trace == 0.0:
+        # Every column is constant (or zero); only the intercept is determined.
+        return Fit(np.zeros(p), y_mean)
+    w = np.linalg.solve(normal + np.eye(p) * (1e-10 * trace / p), xc.T @ yc)
+    return Fit(w, y_mean - float(w @ x_mean))
 
 
 def standardized(X):
@@ -40,14 +67,14 @@ def test_least_squares_recovers_exact_solution():
     X = rng.normal(size=(40, 5))
     w0 = rng.normal(size=5)
     y = X @ w0 + 1.25
-    fit = least_squares_fit(RegressionProblem(X, y))
+    fit = least_squares_fit(X, y)
     assert np.max(np.abs(fit.w - w0)) <= 1e-8
     assert abs(fit.b - 1.25) <= 1e-8
 
 
 def test_least_squares_constant_column_gives_mean():
     y = np.array([3.0, 5.0, 10.0])
-    fit = least_squares_fit(RegressionProblem(np.ones((3, 1)), y))
+    fit = least_squares_fit(np.ones((3, 1)), y)
     assert fit.w[0] == 0.0
     assert fit.b == pytest.approx(float(y.mean()), rel=1e-15)
 
@@ -56,7 +83,7 @@ def test_least_squares_residual_orthogonal_to_columns():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    fit = least_squares_fit(RegressionProblem(X, y))
+    fit = least_squares_fit(X, y)
     resid = y - X @ fit.w - fit.b
     assert np.max(np.abs(X.T @ resid)) <= 1e-8
 
@@ -67,7 +94,7 @@ def test_lasso_full_shrinkage_at_large_lambda():
     y = rng.normal(size=25) * 3 + 2
     z, _, _ = standardized(X)
     lam_max = float(np.max(np.abs(z.T @ (y - y.mean()) / len(y))))
-    fit = lasso_fit(RegressionProblem(X, y), lam_max * 1.0001)
+    fit = lasso_fit(X, y, lam_max * 1.0001)
     assert np.all(fit.w == 0.0)
     assert fit.b == pytest.approx(float(y.mean()), rel=1e-12)
 
@@ -76,16 +103,15 @@ def test_lasso_zero_lambda_matches_least_squares():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(30, 4))
     y = X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.3 + 0.1 * rng.normal(size=30)
-    ls = least_squares_fit(RegressionProblem(X, y))
-    la = lasso_fit(RegressionProblem(X, y), 0.0)
+    ls = least_squares_fit(X, y)
+    la = lasso_fit(X, y, 0.0)
     assert np.max(np.abs(ls.w - la.w)) <= 1e-6
     assert abs(ls.b - la.b) <= 1e-6
 
 
 def test_lasso_univariate_soft_threshold_closed_form():
     # X = [[1], [-1]], y = [1, -1]: correlation 1, so w = 1 - lambda
-    problem = RegressionProblem(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
-    fit = lasso_fit(problem, 0.5)
+    fit = lasso_fit(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), 0.5)
     assert fit.w[0] == pytest.approx(0.5, rel=1e-12)
     assert fit.b == pytest.approx(0.0, abs=1e-12)
 
@@ -94,7 +120,7 @@ def test_lasso_produces_exact_zeros():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 10))
     y = 3.0 * X[:, 2] - 2.0 * X[:, 7] + 0.05 * rng.normal(size=60)
-    fit = lasso_fit(RegressionProblem(X, y), 0.5)
+    fit = lasso_fit(X, y, 0.5)
     assert int(np.count_nonzero(fit.w)) == 2
     assert set(np.nonzero(fit.w)[0]) == {2, 7}
     assert all(v == 0.0 for v in fit.w[[0, 1, 3, 4, 5, 6, 8, 9]])
@@ -108,7 +134,7 @@ def test_lasso_kkt_conditions_random_problems():
         X = rng.normal(size=(n, p))
         y = X @ rng.normal(size=p) + rng.normal(size=n)
         lam = float(rng.uniform(0.01, 1.0))
-        fit = lasso_fit(RegressionProblem(X, y), lam)
+        fit = lasso_fit(X, y, lam)
         assert fit.converged
         assert kkt_violation(X, y, fit.w, lam) <= 1e-6
 
@@ -125,7 +151,7 @@ def test_lasso_objective_minimal_along_every_coordinate():
     for _ in range(10):
         X = rng.normal(size=(40, 6))
         y = X @ rng.normal(size=6) + rng.normal(size=40)
-        fit = lasso_fit(RegressionProblem(X, y), 0.05)
+        fit = lasso_fit(X, y, 0.05)
         z, _, scale = standardized(X)
         w = fit.w * scale
         best = standardized_objective(z, y, w, 0.05)
@@ -153,7 +179,7 @@ def test_lasso_kkt_on_degenerate_gram_matrices():
     problems.append((wide, wide @ rng.normal(size=80) + rng.normal(size=30)))
     for X, targets in problems:
         for lam in (0.5, 0.05, 1e-3):
-            fit = lasso_fit(RegressionProblem(X, targets), lam)
+            fit = lasso_fit(X, targets, lam)
             assert fit.converged
             assert kkt_violation(X, targets, fit.w, lam) <= 1e-6
 
@@ -164,7 +190,7 @@ def test_lasso_constant_column_stays_zero():
     X = np.column_stack([rng.normal(size=60), np.full(60, 0.1)])
     y = 2.0 * X[:, 0] + rng.normal(size=60)
     for lam in (0.0, 1e-3, 0.5):
-        assert lasso_fit(RegressionProblem(X, y), lam).w[1] == 0.0
+        assert lasso_fit(X, y, lam).w[1] == 0.0
 
 
 def test_lasso_support_nested_along_schedule():
@@ -173,8 +199,8 @@ def test_lasso_support_nested_along_schedule():
         X = rng.normal(size=(50, 6))
         y = X @ rng.normal(size=6) + 0.2 * rng.normal(size=50)
         lam = float(rng.uniform(0.05, 0.8))
-        hi = lasso_fit(RegressionProblem(X, y), lam)
-        lo = lasso_fit(RegressionProblem(X, y), lam / 1.5)
+        hi = lasso_fit(X, y, lam)
+        lo = lasso_fit(X, y, lam / 1.5)
         assert np.count_nonzero(hi.w) <= np.count_nonzero(lo.w)
 
 
@@ -182,8 +208,8 @@ def test_lasso_deterministic():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
-    a = lasso_fit(RegressionProblem(X, y), 0.1)
-    b = lasso_fit(RegressionProblem(X, y), 0.1)
+    a = lasso_fit(X, y, 0.1)
+    b = lasso_fit(X, y, 0.1)
     assert np.array_equal(a.w, b.w) and a.b == b.b
 
 
@@ -227,14 +253,10 @@ def test_lasso_flags_non_convergence():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
-    fit = lasso_fit(RegressionProblem(X, y), 0.0, LassoConfig(cd_max_iters=1, cd_tol=1e-14))
+    fit = lasso_fit(X, y, 0.0, LassoConfig(cd_max_iters=1, cd_tol=1e-14))
     assert not fit.converged
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        RegressionProblem(np.ones((3, 2)), np.ones(4))
-    with pytest.raises(ValueError):
-        RegressionProblem(np.array([[np.inf]]), np.ones(1))
     with pytest.raises(ConfigError):
         LassoConfig(divisor=1.0)
