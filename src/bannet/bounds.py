@@ -42,13 +42,6 @@ class RegionPartition:
     def n_rows(self) -> int:
         return self.region.shape[0]
 
-    @property
-    def indices(self) -> tuple[np.ndarray, ...]:
-        """Row indices of each region, ascending, regions in id order."""
-        order = np.argsort(self.region, kind="stable")
-        ends = np.cumsum(np.bincount(self.region, minlength=self.n_regions))
-        return tuple(np.split(order, ends[:-1]))
-
 
 def partition_regions(model: BannModel, dataset: Dataset, k: int,
                       coarser: RegionPartition | None = None) -> RegionPartition:

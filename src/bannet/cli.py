@@ -108,10 +108,13 @@ def run_train(manifest: RunManifest) -> int:
     spec, cfg = manifest.split_spec(), manifest.train_config()
     data = load_csv(manifest.dataset, manifest.labels)
     train, val, test = split_dataset(data, spec)
+    out = manifest.out_dir
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
     model, report = build_network(train, cfg, val_data=val)
 
-    out = manifest.out_dir
-    os.makedirs(out, exist_ok=True)
     model_path = os.path.join(out, "model.json")
     report_path = os.path.join(out, "report.csv")
     save_model(model, model_path)
@@ -134,8 +137,7 @@ def run_train(manifest: RunManifest) -> int:
     arch = "-".join(str(w) for w in report.architecture)
     print(f"architecture: {arch} (depth {summary['depth']}, width {summary['width']})")
     print(f"train mse: {report.final_train_mse:.6g}")
-    if report.final_val_mse is not None:
-        print(f"val mse:   {report.final_val_mse:.6g}")
+    print(f"val mse:   {report.final_val_mse:.6g}")
     print(f"test mse:  {test_mse:.6g}")
     print(f"nonzero parameters: {summary['nonzero_parameters']}")
     print(f"wrote {model_path}, {report_path}")

@@ -6,10 +6,11 @@ one design per layer and one target vector per unit.
 The L1 objective is (1/(2n))*||X w + b - y||^2 + lambda*||w||_1 with the bias
 unpenalized. Features are standardized internally (zero mean, unit variance;
 constant columns are pinned to coefficient 0) so the penalty behaves the same
-across datasets; coefficients are mapped back to raw feature space on return.
-On the standardized design z the objective is (1/2) w'Gw - q'w + lambda*||w||_1
-plus a constant, with G = z'z/n and q = z'(y - mean(y))/n, so a fit needs only
-the cached Gram matrix and one product with the targets.
+across datasets. On the standardized design z the objective is
+(1/2) w'Gw - q'w + lambda*||w||_1 plus a constant, with G = z'z/n and
+q = z'(y - mean(y))/n, so a fit needs only the cached Gram matrix and one
+product with the targets. Centering takes the bias out of the problem and
+training keeps only the normal vector, so a fit returns raw-space weights alone.
 
 The solver is the active-set method of Osborne, Presnell & Turlach (2000),
 close to LARS (Efron et al. 2004). With the gradient c = q - Gw, it keeps a
@@ -52,20 +53,19 @@ class LassoConfig:
     cd_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.lambda0 <= 0:
-            raise ConfigError("lambda0 must be positive")
-        if self.divisor <= 1:
-            raise ConfigError("divisor must exceed 1")
+        if not 0 < self.lambda0 < math.inf:
+            raise ConfigError("lambda0 must be positive and finite")
+        if not 1 < self.divisor < math.inf:
+            raise ConfigError("divisor must exceed 1 and be finite")
         if self.max_halvings < 1 or self.cd_max_iters < 1:
             raise ConfigError("iteration caps must be >= 1")
-        if self.cd_tol <= 0:
-            raise ConfigError("cd_tol must be positive")
+        if not 0 < self.cd_tol < math.inf:
+            raise ConfigError("cd_tol must be positive and finite")
 
 
 @dataclass
 class ScheduledFit:
     w: np.ndarray
-    b: float
     used_lambda: float
     has_nonzero: bool
     converged: bool
@@ -93,27 +93,18 @@ class StandardizedDesign:
         self.z[:, ~varies] = 0.0
         self.gram = self.z.T @ self.z / self.n
 
-    def correlations(self, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        """Target mean and q = z'(y - mean)/n, the right-hand side of every
-        lasso fit of these targets on this design."""
+    def correlations(self, targets: np.ndarray) -> np.ndarray:
+        """q = z'(y - mean(y))/n, the right-hand side of every lasso fit of
+        these targets on this design."""
         y = np.asarray(targets, dtype=float)
-        y_mean = float(y.mean())
-        return y_mean, self.z.T @ (y - y_mean) / self.n
-
-    def unstandardize(self, w_std: np.ndarray, target_mean: float) -> tuple[np.ndarray, float]:
-        w_raw = w_std / self.scale
-        return w_raw, target_mean - float(w_raw @ self.mean)
+        return self.z.T @ (y - float(y.mean())) / self.n
 
 
 def _active_set_fit(
-    design: StandardizedDesign,
-    y_mean: float,
-    q: np.ndarray,
-    lam: float,
-    cfg: LassoConfig,
-) -> tuple[np.ndarray, float, bool]:
-    """Raw-space weights, bias and KKT convergence of the fit at penalty lam
-    of the targets with mean y_mean and correlations q (see correlations)."""
+    design: StandardizedDesign, q: np.ndarray, lam: float, cfg: LassoConfig
+) -> tuple[np.ndarray, bool]:
+    """Raw-space weights and KKT convergence of the fit at penalty lam of the
+    targets with correlations q (see correlations)."""
     gram = design.gram
     w = np.zeros(design.p)
     support: list[int] = []
@@ -182,8 +173,7 @@ def _active_set_fit(
             support.append(j)
         idx = np.array(support, dtype=np.intp)
         solved = not crosses or not support
-    w_raw, b = design.unstandardize(w, y_mean)
-    return w_raw, b, converged
+    return w / design.scale, converged
 
 
 def scheduled_lasso_fit(
@@ -200,13 +190,13 @@ def scheduled_lasso_fit(
     solved."""
     if current_lambda <= 0:
         raise ValueError("current_lambda must be positive")
-    y_mean, q = design.correlations(targets)
+    q = design.correlations(targets)
     q_max = float(np.max(np.abs(q)))
     lam = current_lambda
     halvings = 0
     while lam >= q_max and halvings < cfg.max_halvings:
         lam /= cfg.divisor
         halvings += 1
-    w, b, converged = _active_set_fit(design, y_mean, q, lam, cfg)
-    return ScheduledFit(w, b, lam, bool(np.any(w != 0.0)), converged)
+    w, converged = _active_set_fit(design, q, lam, cfg)
+    return ScheduledFit(w, lam, bool(np.any(w != 0.0)), converged)
 

@@ -1,8 +1,8 @@
 """Greedy construction of binary-activated regression networks.
 
 A hidden layer grows one unit at a time. Each unit is a hyperplane fitted to
-the current residuals: a sparse linear fit supplies the normal direction (its
-bias is discarded), an exact sorted-split scan places the bias by minimizing
+the current residuals: a sparse linear fit supplies the normal direction (it
+forms no bias), an exact sorted-split scan places the bias by minimizing
 the weighted per-side residual variance, and the unit's two output
 coefficients per target coordinate are the half-difference and half-sum of the
 mean residuals on each side. Subtracting the unit's contribution from the
@@ -66,8 +66,8 @@ class TrainConfig:
             raise ConfigError("replace_cap must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if self.min_layer_gain < 0:
-            raise ConfigError("min_layer_gain must be >= 0")
+        if not 0 <= self.min_layer_gain < 1:
+            raise ConfigError("min_layer_gain must be in [0, 1)")
 
 
 @dataclass
@@ -75,7 +75,7 @@ class IterationRecord:
     layer: int
     t: int
     train_mse: float
-    val_mse: float | None
+    val_mse: float
     drop: float
     predicted_drop: float
     replacements: int
@@ -89,16 +89,15 @@ class TrainReport:
     records: list[IterationRecord] = field(default_factory=list)
     architecture: list[int] = field(default_factory=list)
     final_train_mse: float = math.nan
-    final_val_mse: float | None = None
+    final_val_mse: float = math.nan
 
     CSV_COLUMNS = ("layer", "t", "train_mse", "val_mse", "drop", "lambda", "nnz")
 
     def write_csv(self, path: str) -> None:
         lines = [",".join(self.CSV_COLUMNS)]
         for r in self.records:
-            val = "" if r.val_mse is None else repr(r.val_mse)
             lines.append(
-                f"{r.layer},{r.t},{r.train_mse!r},{val},{r.drop!r},"
+                f"{r.layer},{r.t},{r.train_mse!r},{r.val_mse!r},{r.drop!r},"
                 f"{r.lambda_used!r},{r.nnz}"
             )
         write_atomic(path, "\n".join(lines) + "\n")
@@ -109,9 +108,7 @@ def neuron_side(features: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
     return activate(features @ w + b, SIGN)
 
 
-def optimal_bias(
-    w: np.ndarray, features: np.ndarray, residuals: np.ndarray
-) -> tuple[float, float]:
+def optimal_bias(w: np.ndarray, features: np.ndarray, residuals: np.ndarray) -> float:
     """Exact search for the bias minimizing the weighted per-side residual
     variance, over the splits of the rows sorted by their projection onto w.
 
@@ -125,8 +122,7 @@ def optimal_bias(
     lands midway between the projections flanking the split, or 1 below
     the smallest. The residuals are divided by 2^e, e the binary exponent
     of their largest magnitude: exact at ordinary scales, and no square
-    overflows or underflows. The objective (sum r^2 - gain)/m is scaled
-    back by 4^e: inf above the double range, 0 or subnormal below it.
+    overflows or underflows.
     """
     w = np.asarray(w, dtype=float)
     if not np.any(w != 0.0):
@@ -137,7 +133,6 @@ def optimal_bias(
     r = np.take(np.atleast_2d(residuals.T), order, axis=1)  # (dl, m), sorted rows
     e = int(np.frexp(max(r.max(), -r.min()))[1])
     np.ldexp(r, -e, out=r)
-    sum_sq = np.vdot(r, r)
 
     m = r.shape[1]
     np.cumsum(r, axis=1, out=r)  # r[:, k-1]: sum over the first k rows
@@ -153,10 +148,7 @@ def optimal_bias(
     gain[1:][sp[:-1] == sp[1:]] = -math.inf
 
     best = int(np.argmax(gain))
-    b = -(sp[0] - 1.0) if best == 0 else -(sp[best - 1] + sp[best]) / 2.0
-    with np.errstate(over="ignore", under="ignore"):
-        objective = np.ldexp((sum_sq - gain[best]) / m, 2 * e)
-    return float(b), float(objective)
+    return float(-(sp[0] - 1.0) if best == 0 else -(sp[best - 1] + sp[best]) / 2.0)
 
 
 def _side_sums(r: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +229,8 @@ class LayerState:
         return float(flat @ flat / self.m)
 
     def fit_hyperplane(self) -> tuple[np.ndarray, float]:
-        """Sparse fit for the normal direction (bias discarded), then the
-        exact split search for the bias. Advances the penalty schedule.
+        """Sparse fit for the normal direction, then the exact split search
+        for the bias. Advances the penalty schedule.
         Raises SolverError when the lasso solve hits its step cap."""
         sched = scheduled_lasso_fit(
             self.design, self.residuals.mean(axis=0), self.lasso_cfg, self.current_lambda
@@ -251,8 +243,7 @@ class LayerState:
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
             raise ZeroWeightVector("penalty schedule exhausted with all-zero weights")
-        b, _ = optimal_bias(sched.w, self.features, self.residuals.T)
-        return sched.w, b
+        return sched.w, optimal_bias(sched.w, self.features, self.residuals.T)
 
     def _apply(self, side: np.ndarray, c: np.ndarray, d: np.ndarray, sign: float) -> None:
         step = np.outer(sign * c, side)
@@ -325,8 +316,7 @@ class LayerState:
 @dataclass
 class LayerResult:
     neurons: list[Neuron]
-    best_train_mse: float
-    best_val_mse: float | None
+    best_val_mse: float
     aborted: bool
     current_lambda: float
 
@@ -338,8 +328,8 @@ class LayerResult:
 def build_layer(
     features: np.ndarray,
     targets: np.ndarray,
-    val_features: np.ndarray | None,
-    val_targets: np.ndarray | None,
+    val_features: np.ndarray,
+    val_targets: np.ndarray,
     cfg: TrainConfig,
     layer_index: int = 1,
     current_lambda: float | None = None,
@@ -348,20 +338,17 @@ def build_layer(
 ) -> LayerResult:
     """Grow one hidden layer on the given inputs, tracking validation error
     for early stopping, then roll back to the width with the best validation
-    error. Without validation data the layer grows to the unit cap. The nnz
-    of a record counts the frozen layers ``kept`` below this one, the grown
-    units and their output head."""
+    error. Validation only decides where growth stops and which width is
+    kept, never which unit comes next. The nnz of a record counts the frozen
+    layers ``kept`` below this one, the grown units and their output head."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
     state = LayerState(features, targets, cfg.lasso, current_lambda or cfg.lasso.lambda0)
-    has_val = val_features is not None
-    if has_val:
-        val_t = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
-        val_pred = np.zeros_like(val_t)
+    val_t = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
+    val_pred = np.zeros_like(val_t)
 
     best_neurons: list[Neuron] = []
     best_val = math.inf
-    best_train = math.inf
     bad_streak = 0
     aborted = False
 
@@ -374,21 +361,16 @@ def build_layer(
             drop, predicted, imbalance = state.add_neuron(intercept=True)
             aborted = True
         new = state.neurons[-1]
-        if has_val:
-            val_pred += neuron_side(val_features, new.w, new.b)[:, None] * new.c + new.d
+        val_pred += neuron_side(val_features, new.w, new.b)[:, None] * new.c + new.d
         # A lone unit has nothing to replace, so an intercept unit stays.
         before = state.neurons[: cfg.replace_cap]
         replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
         if replacements:
             imbalance = max(imbalance, repl_imbalance)
-            if has_val:
-                val_pred += units_forward(state.neurons[:replacements], val_features)
-                val_pred -= units_forward(before[:replacements], val_features)
+            val_pred += units_forward(state.neurons[:replacements], val_features)
+            val_pred -= units_forward(before[:replacements], val_features)
 
-        train_mse = state.train_mse()
-        val_mse = None
-        if has_val:
-            val_mse = squared_error_sums(val_pred, val_t)[0] / val_t.shape[0]
+        val_mse = squared_error_sums(val_pred, val_t)[0] / val_t.shape[0]
         if records is not None:
             grown, head_w, head_b = units_to_layer(state.neurons)
             partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
@@ -396,7 +378,7 @@ def build_layer(
                 IterationRecord(
                     layer=layer_index,
                     t=t,
-                    train_mse=train_mse,
+                    train_mse=state.train_mse(),
                     val_mse=val_mse,
                     drop=drop,
                     predicted_drop=predicted,
@@ -407,26 +389,20 @@ def build_layer(
                 )
             )
 
-        if has_val:
-            if val_mse < best_val * (1.0 - cfg.min_layer_gain) or not best_neurons:
-                best_neurons = list(state.neurons)
-                best_val = val_mse
-                best_train = train_mse
-                bad_streak = 0
-            else:
-                bad_streak += 1
-                if bad_streak >= cfg.patience:
-                    break
-        else:
+        if val_mse < best_val * (1.0 - cfg.min_layer_gain) or not best_neurons:
             best_neurons = list(state.neurons)
-            best_train = train_mse
+            best_val = val_mse
+            bad_streak = 0
+        else:
+            bad_streak += 1
+            if bad_streak >= cfg.patience:
+                break
         if aborted:
             break
 
     return LayerResult(
         neurons=best_neurons,
-        best_train_mse=best_train,
-        best_val_mse=best_val if has_val else None,
+        best_val_mse=best_val,
         aborted=aborted,
         current_lambda=state.current_lambda,
     )
@@ -435,25 +411,18 @@ def build_layer(
 def build_network(
     dataset: Dataset,
     cfg: TrainConfig,
-    val_data: Dataset | None = None,
+    val_data: Dataset,
 ) -> tuple[BannModel, TrainReport]:
     """Build the full network: grow the first hidden layer on the raw
     features, then repeatedly map all rows through the frozen layers, reset
     the residuals to the original labels, and grow another layer on the +/-1
-    patterns. A deeper layer is kept only when its best validation error
-    improves on the incumbent network's; the kept layer's linear head becomes
-    the model output.
-
-    With ``val_data`` None there is no validation: the one hidden layer grows
-    to the unit cap, and more than one hidden layer is a ConfigError.
+    patterns. Validation error sets each layer's width (see build_layer), and
+    a deeper layer is kept only when its best validation error improves on
+    the incumbent network's; the kept layer's linear head becomes the model
+    output.
     """
-    if val_data is None and cfg.max_hidden_layers > 1:
-        raise ConfigError("building more than one hidden layer requires validation data")
-
     report = TrainReport()
-    train_x = dataset.features
-    val_x = None if val_data is None else val_data.features
-    val_labels = None if val_data is None else val_data.labels
+    train_x, val_x = dataset.features, val_data.features
 
     current_lambda = cfg.lasso.lambda0
     kept: list[LayerParams] = []
@@ -463,7 +432,7 @@ def build_network(
             train_x,
             dataset.labels,
             val_x,
-            val_labels,
+            val_data.labels,
             cfg,
             layer_index=depth,
             current_lambda=current_lambda,
@@ -479,8 +448,7 @@ def build_network(
         if result.aborted or depth == cfg.max_hidden_layers:
             break
         train_x = activate(train_x @ layer.weights.T + layer.biases, SIGN)
-        if val_x is not None:
-            val_x = activate(val_x @ layer.weights.T + layer.biases, SIGN)
+        val_x = activate(val_x @ layer.weights.T + layer.biases, SIGN)
 
     _, head_w, head_b = units_to_layer(incumbent.neurons)
     model = BannModel(SIGN, tuple(kept), LayerParams(head_w, head_b))
@@ -488,9 +456,8 @@ def build_network(
     report.architecture = model.architecture()
     total, _ = squared_error_sums(forward(model, dataset.features), dataset.labels)
     report.final_train_mse = total / dataset.m
-    if val_data is not None:
-        total, _ = squared_error_sums(forward(model, val_data.features), val_data.labels)
-        report.final_val_mse = total / val_data.m
+    total, _ = squared_error_sums(forward(model, val_data.features), val_data.labels)
+    report.final_val_mse = total / val_data.m
     report.records.append(
         IterationRecord(
             layer=len(kept),

@@ -26,12 +26,19 @@ from bannet.model import (
 from conftest import make_random_dataset, make_random_model
 
 
+def region_indices(partition):
+    """Row indices of each region, ascending, regions in id order."""
+    order = np.argsort(partition.region, kind="stable")
+    ends = np.cumsum(np.bincount(partition.region, minlength=partition.n_regions))
+    return tuple(np.split(order, ends[:-1]))
+
+
 def exhaustive_zero_one_floor(partition, labels):
     """Minimum 0-1 error over every assignment of one +/-1 label per region."""
     best = 1.0
     for assignment in itertools.product((-1.0, 1.0), repeat=partition.n_regions):
         errors = 0
-        for value, idx in zip(assignment, partition.indices):
+        for value, idx in zip(assignment, region_indices(partition)):
             errors += int(np.sum(labels[idx] != value))
         best = min(best, errors / len(labels))
     return best
@@ -85,7 +92,7 @@ def test_partition_and_floors_match_row_loop_reference(activation):
                 want = reference_indices(model, data, k)
                 assert part.n_regions == len(want)
                 assert part.n_rows == m
-                assert all(np.array_equal(a, b) for a, b in zip(part.indices, want))
+                assert all(np.array_equal(a, b) for a, b in zip(region_indices(part), want))
                 assert regression_lower_bound(part, data.labels) == pytest.approx(
                     reference_regression_floor(want, data.labels), rel=1e-12, abs=1e-300
                 )
@@ -112,7 +119,7 @@ def test_constant_pattern_single_region():
     data = Dataset(np.random.default_rng(1).normal(size=(30, 2)), np.ones((30, 1)))
     part = partition_regions(model, data, 1)
     assert part.n_regions == 1
-    assert len(part.indices[0]) == 30
+    assert len(region_indices(part)[0]) == 30
 
 
 def test_two_two_one_architecture_at_most_four_regions():
@@ -139,7 +146,7 @@ def test_regression_bound_zero_when_regions_pure():
     part = partition_regions(model, data, 1)
     # constant labels inside every region
     labels = np.zeros((40, 1))
-    for value, idx in zip(range(part.n_regions), part.indices):
+    for value, idx in zip(range(part.n_regions), region_indices(part)):
         labels[idx] = float(value)
     assert regression_lower_bound(part, labels) == pytest.approx(0.0, abs=1e-15)
 
@@ -187,7 +194,7 @@ def test_classification_bound_pure_regions():
     data = make_random_dataset(rng, m=30, d0=2, dl=1)
     part = partition_regions(model, data, 1)
     labels = np.zeros(30)
-    for k, idx in enumerate(part.indices):
+    for k, idx in enumerate(region_indices(part)):
         labels[idx] = 1.0 if k % 2 == 0 else -1.0
     assert classification_lower_bound(part, labels) == pytest.approx(0.0, abs=1e-15)
 

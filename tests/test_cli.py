@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,19 +173,33 @@ def run_cli_process(argv):
                           capture_output=True, text=True, env=env)
 
 
-@pytest.mark.parametrize("source", ["flag", "manifest"])
-def test_bad_lasso_setting_is_config_error(tmp_path, source):
-    # --lambda0 0 and a manifest divisor of 1 both reach LassoConfig
+@pytest.mark.parametrize("source,field,value", [
+    ("flag", "lambda0", "0"),
+    ("manifest", "divisor", 1),
+    ("flag", "lambda0", "nan"),
+    ("flag", "lambda0", "inf"),
+    ("flag", "min_layer_gain", "nan"),
+    ("flag", "min_layer_gain", "1"),
+    ("manifest", "lambda0", math.inf),
+    ("manifest", "divisor", math.nan),
+    ("manifest", "cd_tol", math.inf),
+    ("manifest", "min_layer_gain", math.inf),
+], ids=["flag", "manifest", "flag-lambda0-nan", "flag-lambda0-inf", "flag-gain-nan",
+        "flag-gain-1", "manifest-lambda0-inf", "manifest-divisor-nan",
+        "manifest-cd_tol-inf", "manifest-gain-inf"])
+def test_bad_lasso_setting_is_config_error(tmp_path, source, field, value):
+    # Flags and manifest fields, NaN and Infinity included (JSON carries
+    # both), reach LassoConfig or TrainConfig before any training.
     data = tmp_path / "d.csv"
     write_dataset(data)
     out = tmp_path / "run"
     if source == "flag":
-        argv = ["train", "--data", str(data), "--labels", "1", "--lambda0", "0",
-                "--out", str(out)]
+        argv = ["train", "--data", str(data), "--labels", "1",
+                "--" + field.replace("_", "-"), value, "--out", str(out)]
     else:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(
-            {"dataset": str(data), "labels": "1", "divisor": 1, "out_dir": str(out)}
+            {"dataset": str(data), "labels": "1", field: value, "out_dir": str(out)}
         ), encoding="utf-8")
         argv = ["train", "--from-manifest", str(manifest)]
     proc = run_cli_process(argv)
@@ -192,6 +207,34 @@ def test_bad_lasso_setting_is_config_error(tmp_path, source):
     assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-out-file", "manifest-empty-out", "demo", "reparam"])
+def test_unwritable_output_is_data_error(tmp_path, command):
+    data = tmp_path / "d.csv"
+    write_dataset(data, m=40)
+    missing = tmp_path / "nodir"
+    if command == "train-out-file":
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = ["train", "--data", str(data), "--labels", "1", "--out", str(taken)]
+    elif command == "manifest-empty-out":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"dataset": str(data), "labels": "1", "out_dir": ""}),
+                            encoding="utf-8")
+        argv = ["train", "--from-manifest", str(manifest)]
+    elif command == "demo":
+        argv = ["demo", "square", "--r", "3", "--out", str(missing / "sq.json")]
+    else:
+        sq = tmp_path / "sq.json"
+        assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+        argv = ["reparam", "--model", str(sq), "--t", "0", "--h1", "0", "--h2", "1",
+                "--out", str(missing / "r.json")]
+    proc = run_cli_process(argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: cannot write")
+    assert "Traceback" not in proc.stderr
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("field,value", [

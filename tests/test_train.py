@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -67,18 +67,18 @@ def brute_force_best_split(w, features, residuals):
 def test_optimal_bias_hand_example():
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
     residuals = np.array([[0.0], [0.0], [10.0], [10.0]])
-    b, obj = optimal_bias(np.array([1.0]), features, residuals)
+    b = optimal_bias(np.array([1.0]), features, residuals)
     assert b == pytest.approx(-1.5)
-    assert obj == pytest.approx(0.0, abs=1e-12)
+    assert split_objective(features[:, 0], residuals, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimal_bias_constant_residuals_tie_break():
     features = np.array([[0.0], [1.0], [2.0]])
     residuals = np.full((3, 1), 4.0)
-    b, obj = optimal_bias(np.array([1.0]), features, residuals)
+    b = optimal_bias(np.array([1.0]), features, residuals)
     # every split scores Var(r) = 0; first in scan order leaves the negative side empty
     assert b == pytest.approx(-(0.0 - 1.0))
-    assert obj == pytest.approx(0.0, abs=1e-12)
+    assert split_objective(features[:, 0], residuals, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimal_bias_matches_exhaustive_enumeration():
@@ -90,12 +90,12 @@ def test_optimal_bias_matches_exhaustive_enumeration():
         features = rng.normal(size=(m, d))
         residuals = rng.normal(size=(m, dl))
         w = rng.normal(size=d)
-        b, obj = optimal_bias(w, features, residuals)
+        b = optimal_bias(w, features, residuals)
         oracle_b, oracle_obj = brute_force_best_split(w, features, residuals)
         scale = 1.0 + abs(oracle_obj)
-        assert obj <= oracle_obj + 1e-9 * scale
         # the returned bias actually realizes the optimal objective
         realized = split_objective(features @ w, residuals, b)
+        assert realized <= oracle_obj + 1e-9 * scale
         assert abs(realized - oracle_obj) <= 1e-9 * scale
 
 
@@ -126,8 +126,8 @@ def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
     w, features, residuals = problem
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b, _ = optimal_bias(w, features, residuals)
-        scaled_b, _ = optimal_bias(w, features, np.ldexp(residuals, k))
+        b = optimal_bias(w, features, residuals)
+        scaled_b = optimal_bias(w, features, np.ldexp(residuals, k))
     assert scaled_b == b
 
 
@@ -135,13 +135,12 @@ def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
 def test_optimal_bias_invariant_under_row_permutation_of_tied_designs(problem, data):
     w, features, residuals = problem
     perm = np.array(data.draw(st.permutations(range(len(features)))), dtype=int)
-    b, obj = optimal_bias(w, features, residuals)
-    assert optimal_bias(w, features[perm], residuals[perm])[0] == b
+    b = optimal_bias(w, features, residuals)
+    assert optimal_bias(w, features[perm], residuals[perm]) == b
     # Integer residuals tie often, so the oracle may pick another split of
     # equal objective; its objective is what must match.
     _, oracle_obj = brute_force_best_split(w, features, residuals)
     scale = 1.0 + abs(oracle_obj)
-    assert abs(obj - oracle_obj) <= 1e-9 * scale
     assert abs(split_objective(features @ w, residuals, b) - oracle_obj) <= 1e-9 * scale
 
 
@@ -191,8 +190,7 @@ def test_fit_hyperplane_separates_constant_clusters():
     side = neuron_side(features, w, b)
     assert len(set(side[:20])) == 1 and len(set(side[20:])) == 1
     assert side[0] != side[-1]
-    _, obj = optimal_bias(w, features, residuals)
-    assert obj == pytest.approx(0.0, abs=1e-12)
+    assert split_objective(features @ w, residuals, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_hyperplane_duplicated_outputs_match_univariate():
@@ -241,9 +239,9 @@ def test_fit_hyperplane_raises_on_non_converged_solve():
     targets = 3.0 * features[:, 0] + 3.0 * features[:, 1] + 0.1 * rng.normal(size=200)
     w, _ = LayerState(features, targets, LassoConfig(), 1e5).fit_hyperplane()
     assert np.count_nonzero(w) >= 2
-    cfg = TrainConfig(max_hidden_layers=1, lasso=LassoConfig(cd_max_iters=1))
+    cfg = TrainConfig(max_hidden_layers=1, patience=500, lasso=LassoConfig(cd_max_iters=1))
     with pytest.raises(SolverError):
-        build_layer(features, targets, None, None, cfg)
+        build_layer(features, targets, features, targets, cfg)
 
 
 def test_add_neuron_zeroes_residual_sums():
@@ -372,8 +370,9 @@ def test_build_layer_recovers_planted_network():
     x, y = planted_cube()
     val_x, val_y = planted_cube(reps=2)
     cfg = TrainConfig(max_neurons_per_layer=50, max_hidden_layers=1, patience=20)
-    result = build_layer(x, y, val_x, val_y, cfg)
-    assert result.best_train_mse <= 1e-6
+    records = []
+    result = build_layer(x, y, val_x, val_y, cfg, records=records)
+    assert records[result.width - 1].train_mse <= 1e-6
     assert result.width <= 10
 
 
@@ -382,8 +381,8 @@ def test_build_layer_patience_one_stops_at_width_one():
     x = rng.normal(size=(40, 1))
     y = np.where(x < 0, -1.0, 1.0) + 0.02 * rng.normal(size=(40, 1))
     val_x = rng.normal(size=(20, 1))
-    cfg1 = TrainConfig(max_neurons_per_layer=1, max_hidden_layers=1)
-    first = build_layer(x, y, None, None, cfg1)
+    cfg1 = TrainConfig(max_neurons_per_layer=1, max_hidden_layers=1, patience=1)
+    first = build_layer(x, y, x, y, cfg1)
     # validation labels equal to the width-1 prediction: any further unit hurts
     val_y = units_forward(first.neurons, val_x)
     cfg = TrainConfig(max_neurons_per_layer=10, max_hidden_layers=1, patience=1)
@@ -425,11 +424,12 @@ def test_build_layer_constant_targets_aborts_at_width_one():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(20, 3))
     y = np.full((20, 1), 5.0)
-    cfg = TrainConfig(max_neurons_per_layer=10, max_hidden_layers=1)
-    result = build_layer(x, y, None, None, cfg)
+    cfg = TrainConfig(max_neurons_per_layer=10, max_hidden_layers=1, patience=10)
+    records = []
+    result = build_layer(x, y, x, y, cfg, records=records)
     assert result.aborted
     assert result.width == 1
-    assert result.best_train_mse == pytest.approx(0.0, abs=1e-18)
+    assert records[result.width - 1].train_mse == pytest.approx(0.0, abs=1e-18)
 
 
 def test_build_network_single_layer_shape():
@@ -437,8 +437,8 @@ def test_build_network_single_layer_shape():
     x = rng.normal(size=(50, 2))
     y = (x[:, :1] > 0).astype(float) * 3 + 0.1 * rng.normal(size=(50, 1))
     ds = Dataset(x, y)
-    cfg = TrainConfig(max_neurons_per_layer=8, max_hidden_layers=1)
-    model, report = build_network(ds, cfg)
+    cfg = TrainConfig(max_neurons_per_layer=8, max_hidden_layers=1, patience=8)
+    model, report = build_network(ds, cfg, val_data=ds)
     assert len(model.hidden) == 1
     assert report.architecture == model.architecture()
     assert report.architecture[0] == 2 and report.architecture[-1] == 1
@@ -465,8 +465,8 @@ def test_build_network_deep_patterns_shrink():
 def test_build_network_monotone_training_error_within_layer():
     rng = np.random.default_rng(13)
     ds = Dataset(rng.normal(size=(80, 3)), rng.normal(size=(80, 2)))
-    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=1)
-    _, report = build_network(ds, cfg)
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=1, patience=12)
+    _, report = build_network(ds, cfg, val_data=ds)
     # growth rows are the t = 1, 2, ... prefix; the trailing summary row
     # restates the rolled-back model and may sit higher
     rows = [r for r in report.records if r.layer == 1]
@@ -479,28 +479,15 @@ def test_build_network_monotone_training_error_within_layer():
 def test_build_network_deterministic_and_consistent():
     rng = np.random.default_rng(14)
     ds = Dataset(rng.normal(size=(60, 2)), rng.normal(size=(60, 1)))
-    cfg = TrainConfig(max_neurons_per_layer=6, max_hidden_layers=1)
-    model_a, report_a = build_network(ds, cfg)
-    model_b, report_b = build_network(ds, cfg)
+    cfg = TrainConfig(max_neurons_per_layer=6, max_hidden_layers=1, patience=6)
+    model_a, report_a = build_network(ds, cfg, val_data=ds)
+    model_b, report_b = build_network(ds, cfg, val_data=ds)
     for la, lb in zip(list(model_a.hidden) + [model_a.output], list(model_b.hidden) + [model_b.output]):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.biases, lb.biases)
     assert report_a.final_train_mse == report_b.final_train_mse
     # the reported final training error is the returned model's actual error
     assert mse(model_a, ds) == pytest.approx(report_a.final_train_mse, rel=1e-12)
-
-
-def test_build_network_requires_validation_for_deepening():
-    rng = np.random.default_rng(15)
-    ds = Dataset(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
-    cfg = TrainConfig(max_neurons_per_layer=5, max_hidden_layers=2)
-    with pytest.raises(ConfigError):
-        build_network(ds, cfg)
-    # a single hidden layer is fine without validation, and grows to the cap
-    cfg1 = TrainConfig(max_neurons_per_layer=3, max_hidden_layers=1)
-    model, report = build_network(ds, cfg1)
-    assert len(model.hidden) == 1
-    assert report.final_val_mse is None
 
 
 def test_train_config_validation():
@@ -539,3 +526,31 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
         lam = rows[-1].lambda_used
         kept = (model.hidden[0],)
         features = hidden_pattern(model, train.features, 1)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 150), st.integers(1, 4), st.data())
+def test_training_invariant_under_power_of_two_feature_scaling(seed, m, d, data):
+    # Scaling a column by 2^k is exact, so its standardization, and with it
+    # every fit, split and record, is unchanged; only that column's layer-1
+    # weights carry the inverse factor.
+    j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(-60, 60))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m + m // 2, d))
+    y = 2.0 * (x[:, :1] > 0) + np.sin(3.0 * x[:, -1:]) + 0.1 * rng.normal(size=(len(x), 2))
+    scaled = x.copy()
+    scaled[:, j] = np.ldexp(x[:, j], k)
+    cfg = TrainConfig(max_neurons_per_layer=10, max_hidden_layers=2, patience=3)
+    model, report = build_network(Dataset(x[:m], y[:m]), cfg, Dataset(x[m:], y[m:]))
+    model_s, report_s = build_network(Dataset(scaled[:m], y[:m]), cfg,
+                                      Dataset(scaled[m:], y[m:]))
+    assert report_s == report
+    assert model_s.architecture() == model.architecture()
+    first, first_s = model.hidden[0], model_s.hidden[0]
+    assert np.array_equal(first_s.weights[:, j], np.ldexp(first.weights[:, j], -k))
+    assert np.array_equal(np.delete(first_s.weights, j, 1), np.delete(first.weights, j, 1))
+    for a, b in zip((first, *model.hidden[1:], model.output),
+                    (first_s, *model_s.hidden[1:], model_s.output)):
+        assert np.array_equal(b.biases, a.biases)
+    for a, b in zip((*model.hidden[1:], model.output), (*model_s.hidden[1:], model_s.output)):
+        assert np.array_equal(b.weights, a.weights)
