@@ -37,8 +37,8 @@ def build_square_approximator(r: int) -> BannModel:
 def build_product_approximator(m: float, delta: float) -> BannModel:
     """Two-input network whose output is within 3*m^2*delta of x*y on
     [-m, m]^2 and exactly x*y on the coordinate axes."""
-    if m <= 0:
-        raise ValueError("input magnitude bound m must be positive")
+    if not (m > 0 and math.isfinite(m * m)):
+        raise ValueError("input magnitude bound m must be positive with m*m finite")
     if not 0 < delta < 1:
         raise ValueError("per-block error budget delta must lie in (0, 1)")
     # Round the level count up to a power of two: the output coefficient

@@ -2,7 +2,9 @@
 emit the constructive demo networks, and reparametrize activations.
 
 Exit codes: 0 success, 1 other failure (such as a lasso solve that reaches
-its step cap), 2 data error, 3 configuration error, 4 training abort.
+its step cap), 2 data error, 3 configuration error, 4 training abort (fewer
+than 2 training rows). When no unit can be placed, training keeps the
+one-unit intercept model and exits 0.
 """
 
 from __future__ import annotations
@@ -59,12 +61,7 @@ class RunManifest:
     max_layers: int = TrainConfig.max_hidden_layers
     replace_cap: int = TrainConfig.replace_cap
     patience: int = TrainConfig.patience
-    min_layer_gain: float = TrainConfig.min_layer_gain
     lambda0: float = LassoConfig.lambda0
-    divisor: float = LassoConfig.divisor
-    max_halvings: int = LassoConfig.max_halvings
-    cd_tol: float = LassoConfig.cd_tol
-    cd_max_iters: int = LassoConfig.cd_max_iters
     out_dir: str = "."
     software_version: str = __version__
 
@@ -72,13 +69,15 @@ class RunManifest:
         return SplitSpec(self.test_fraction, self.val_fraction, self.seed)
 
     def train_config(self) -> TrainConfig:
-        lasso = LassoConfig(lambda0=self.lambda0, divisor=self.divisor,
-                            max_halvings=self.max_halvings, cd_tol=self.cd_tol,
-                            cd_max_iters=self.cd_max_iters)
         return TrainConfig(max_neurons_per_layer=self.max_neurons,
                            max_hidden_layers=self.max_layers, replace_cap=self.replace_cap,
-                           patience=self.patience, lasso=lasso,
-                           min_layer_gain=self.min_layer_gain)
+                           patience=self.patience, lasso=LassoConfig(self.lambda0))
+
+
+# Settings that older manifests record; such a manifest reruns at these values only.
+_FIXED_SETTINGS = {"min_layer_gain": 0.0, "divisor": LassoConfig.divisor,
+                   "max_halvings": LassoConfig.max_divisions, "cd_tol": LassoConfig.kkt_slack,
+                   "cd_max_iters": LassoConfig.max_steps}
 
 
 def load_manifest(path: str) -> RunManifest:
@@ -89,6 +88,10 @@ def load_manifest(path: str) -> RunManifest:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} must be a JSON object")
+    fixed = {k: doc.pop(k) for k in _FIXED_SETTINGS.keys() & doc.keys()}
+    changed = sorted(k for k, v in fixed.items() if isinstance(v, bool) or v != _FIXED_SETTINGS[k])
+    if changed:
+        raise ConfigError(f"manifest {path} changes settings that are now fixed: {changed}")
     fields = RunManifest.__dataclass_fields__
     unknown = set(doc) - set(fields)
     if unknown:
@@ -236,7 +239,6 @@ def build_parser() -> _Parser:
         train.add_argument("--replace-cap", type=int),
         train.add_argument("--patience", type=int),
         train.add_argument("--lambda0", type=float),
-        train.add_argument("--min-layer-gain", type=float),
         train.add_argument("--out", dest="out_dir", help="output directory"),
     ]
     train.add_argument("--from-manifest", help="rerun a recorded manifest")

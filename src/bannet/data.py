@@ -27,6 +27,8 @@ class SplitSpec:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("val_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def parse_label_spec(spec: str | int | list[str]) -> int | list[str]:

@@ -30,4 +30,4 @@ class ZeroWeightVector(BannetError):
 
 
 class TrainingAbort(BannetError):
-    """Training cannot proceed (unconstructible first layer)."""
+    """Training cannot proceed: fewer than 2 training rows."""

@@ -44,6 +44,8 @@ class ActivationParams:
     h2: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.t, self.h1, self.h2]).all():
+            raise ValueError(f"activation values must be finite, got {self}")
         if not (self.h1 < self.h2):
             raise ValueError(f"activation requires h1 < h2, got ({self.h1}, {self.h2})")
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,27 +41,20 @@ from .errors import ConfigError
 class LassoConfig:
     """Penalty schedule and solver limits. ``lambda0`` is the first penalty of
     a run, divided by ``divisor`` while a fit at it would be all-zero, at most
-    ``max_halvings`` times per fit. ``cd_max_iters`` caps the active-set steps
+    ``max_divisions`` times per fit. ``max_steps`` caps the active-set steps
     of one fit, each entering or dropping a coordinate; a fit at the cap is
-    flagged not converged. ``cd_tol`` is the KKT slack: a converged fit has
-    |c_j| <= lambda + cd_tol at every zero coordinate. The names are kept so
-    that recorded manifests still load."""
+    flagged not converged. A converged fit has |c_j| <= lambda + kkt_slack at
+    every zero coordinate. Only ``lambda0`` is a setting."""
 
     lambda0: float = 1e5
-    divisor: float = 1.5
-    max_halvings: int = 200
-    cd_max_iters: int = 10_000
-    cd_tol: float = 1e-8
+    divisor: ClassVar[float] = 1.5
+    max_divisions: ClassVar[int] = 200
+    max_steps: ClassVar[int] = 10_000
+    kkt_slack: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if not 0 < self.lambda0 < math.inf:
             raise ConfigError("lambda0 must be positive and finite")
-        if not 1 < self.divisor < math.inf:
-            raise ConfigError("divisor must exceed 1 and be finite")
-        if self.max_halvings < 1 or self.cd_max_iters < 1:
-            raise ConfigError("iteration caps must be >= 1")
-        if not 0 < self.cd_tol < math.inf:
-            raise ConfigError("cd_tol must be positive and finite")
 
 
 @dataclass
@@ -121,10 +115,10 @@ def _active_set_fit(
             gap = float(excess[j]) - lam
             # The empty support is kept only when it is exactly optimal, so a
             # fit is all-zero exactly when lam >= max |q_j|.
-            if gap <= (cfg.cd_tol if support else 0.0):
+            if gap <= (cfg.kkt_slack if support else 0.0):
                 converged = True
                 break
-        if steps == cfg.cd_max_iters:
+        if steps == cfg.max_steps:
             break
         steps += 1
         if not support:
@@ -183,7 +177,7 @@ def scheduled_lasso_fit(
     current_lambda: float,
 ) -> ScheduledFit:
     """Fit at the first penalty of current_lambda, current_lambda/divisor, ...
-    at which some weight survives, dividing at most cfg.max_halvings times;
+    at which some weight survives, dividing at most cfg.max_divisions times;
     when the budget runs out the zero fit is returned, flagged. A fit is
     all-zero exactly when the penalty is at least max_j |q_j|, so the
     divisions are counted without fitting and only the last penalty is
@@ -193,10 +187,10 @@ def scheduled_lasso_fit(
     q = design.correlations(targets)
     q_max = float(np.max(np.abs(q)))
     lam = current_lambda
-    halvings = 0
-    while lam >= q_max and halvings < cfg.max_halvings:
+    divisions = 0
+    while lam >= q_max and divisions < cfg.max_divisions:
         lam /= cfg.divisor
-        halvings += 1
+        divisions += 1
     w, converged = _active_set_fit(design, q, lam, cfg)
     return ScheduledFit(w, lam, bool(np.any(w != 0.0)), converged)
 

@@ -55,7 +55,6 @@ class TrainConfig:
     replace_cap: int = 10
     patience: int = 20
     lasso: LassoConfig = field(default_factory=LassoConfig)
-    min_layer_gain: float = 0.0
 
     def __post_init__(self):
         if self.max_neurons_per_layer < 1:
@@ -66,8 +65,6 @@ class TrainConfig:
             raise ConfigError("replace_cap must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if not 0 <= self.min_layer_gain < 1:
-            raise ConfigError("min_layer_gain must be in [0, 1)")
 
 
 @dataclass
@@ -238,7 +235,7 @@ class LayerState:
         if not sched.converged:
             raise SolverError(
                 f"lasso solve at lambda {sched.used_lambda!r} did not converge within "
-                f"{self.lasso_cfg.cd_max_iters} steps"
+                f"{self.lasso_cfg.max_steps} steps"
             )
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
@@ -389,7 +386,7 @@ def build_layer(
                 )
             )
 
-        if val_mse < best_val * (1.0 - cfg.min_layer_gain) or not best_neurons:
+        if val_mse < best_val or not best_neurons:
             best_neurons = list(state.neurons)
             best_val = val_mse
             bad_streak = 0

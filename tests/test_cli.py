@@ -10,7 +10,7 @@ import pytest
 
 import bannet
 from bannet import LassoConfig, SplitSpec, TrainConfig, forward, load_model, mse
-from bannet.cli import RunManifest, load_manifest, main
+from bannet.cli import RunManifest, build_parser, load_manifest, main
 from bannet.data import load_csv
 
 
@@ -178,18 +178,21 @@ def run_cli_process(argv):
     ("manifest", "divisor", 1),
     ("flag", "lambda0", "nan"),
     ("flag", "lambda0", "inf"),
-    ("flag", "min_layer_gain", "nan"),
-    ("flag", "min_layer_gain", "1"),
     ("manifest", "lambda0", math.inf),
     ("manifest", "divisor", math.nan),
     ("manifest", "cd_tol", math.inf),
     ("manifest", "min_layer_gain", math.inf),
-], ids=["flag", "manifest", "flag-lambda0-nan", "flag-lambda0-inf", "flag-gain-nan",
-        "flag-gain-1", "manifest-lambda0-inf", "manifest-divisor-nan",
-        "manifest-cd_tol-inf", "manifest-gain-inf"])
+    ("flag", "seed", "-1"),
+    ("manifest", "seed", -1),
+], ids=["flag", "manifest", "flag-lambda0-nan", "flag-lambda0-inf",
+        "manifest-lambda0-inf", "manifest-divisor-nan",
+        "manifest-cd_tol-inf", "manifest-gain-inf", "flag-seed-negative",
+        "manifest-seed-negative"])
 def test_bad_lasso_setting_is_config_error(tmp_path, source, field, value):
     # Flags and manifest fields, NaN and Infinity included (JSON carries
-    # both), reach LassoConfig or TrainConfig before any training.
+    # both), reach the configs before any training. Manifests written before
+    # the schedule's divisor and solver limits became constants record them,
+    # and another value there is a configuration error too.
     data = tmp_path / "d.csv"
     write_dataset(data)
     out = tmp_path / "run"
@@ -238,7 +241,7 @@ def test_unwritable_output_is_data_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("divisor", "1.5"),
+    ("lambda0", "1e5"),
     ("max_layers", 2.5),
     ("patience", True),
 ])
@@ -256,6 +259,55 @@ def test_manifest_field_of_wrong_type_is_data_error(tmp_path, field, value):
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# The older 17-key manifest format, which also recorded the five settings
+# that are now fixed; here they hold their fixed values.
+OLD_FORMAT_FIXED = {"min_layer_gain": 0.0, "divisor": 1.5, "max_halvings": 200,
+                    "cd_tol": 1e-08, "cd_max_iters": 10000}
+
+
+def old_format_manifest(doc):
+    keys = ["dataset", "labels", "test_fraction", "val_fraction", "seed", "max_neurons",
+            "max_layers", "replace_cap", "patience", "min_layer_gain", "lambda0", "divisor",
+            "max_halvings", "cd_tol", "cd_max_iters", "out_dir", "software_version"]
+    return {k: {**doc, **OLD_FORMAT_FIXED}[k] for k in keys}
+
+
+def test_old_format_manifest_reruns_to_the_same_bytes(tmp_path):
+    data = tmp_path / "d.csv"
+    write_dataset(data, seed=5)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["train", "--data", str(data), "--labels", "1", "--seed", "2",
+                 "--max-neurons", "25", "--out", str(out1)]) == 0
+    old = tmp_path / "old.json"
+    doc = old_format_manifest(json.loads((out1 / "manifest.json").read_text()))
+    old.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    assert main(["train", "--from-manifest", str(old), "--out", str(out2)]) == 0
+    for name in ("model.json", "report.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text()) == dict(
+        json.loads((out1 / "manifest.json").read_text()), out_dir=str(out2))
+
+
+@pytest.mark.parametrize("field", sorted(OLD_FORMAT_FIXED))
+def test_old_format_fixed_setting_as_bool_is_config_error(tmp_path, capsys, field):
+    data = tmp_path / "d.csv"
+    write_dataset(data, m=40)
+    out = tmp_path / "run"
+    doc = old_format_manifest(asdict(RunManifest(str(data), "1", out_dir=str(out))))
+    doc[field] = not doc[field]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["train", "--from-manifest", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{field}'" in err
+    assert not out.exists()
+
+
+def test_every_recorded_setting_has_a_train_flag():
+    flags = build_parser().parse_args(["train"]).flags
+    assert set(flags) == set(RunManifest.__dataclass_fields__) - {"software_version"}
 
 
 @pytest.mark.parametrize("doc", [5, None, ["dataset", "labels"]], ids=["number", "null", "list"])
@@ -331,16 +383,20 @@ def test_demo_product_certificate(tmp_path, capsys):
     assert measured <= 3 * 0.05 + 1e-12
 
 
-@pytest.mark.parametrize("argv", [
-    ["square", "--r", "0"],
-    ["product", "--m", "1", "--delta", "2"],
-    ["product", "--m", "0", "--delta", "0.1"],
-], ids=["square-r0", "product-delta2", "product-m0"])
-def test_demo_bad_parameter_is_config_error(tmp_path, argv):
+@pytest.mark.parametrize("argv,name", [
+    (["square", "--r", "0"], "r"),
+    (["product", "--m", "1", "--delta", "2"], "delta"),
+    (["product", "--m", "0", "--delta", "0.1"], "m"),
+    (["product", "--m", "inf", "--delta", "0.1"], "m"),
+    (["product", "--m", "nan", "--delta", "0.1"], "m"),
+    (["product", "--m", "1e200", "--delta", "0.1"], "m"),
+], ids=["square-r0", "product-delta2", "product-m0", "product-m-inf", "product-m-nan",
+        "product-m-square-overflows"])
+def test_demo_bad_parameter_is_config_error(tmp_path, argv, name):
     out = tmp_path / "demo.json"
     proc = run_cli_process(["demo", *argv, "--out", str(out)])
     assert proc.returncode == 3
-    assert proc.stderr.startswith("config error:")
+    assert proc.stderr.startswith("config error:") and f" {name} must" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -358,6 +414,17 @@ def test_reparam_subcommand(tmp_path):
     # degenerate target is a config error
     assert main(["reparam", "--model", str(sq), "--t", "0",
                  "--h1", "1", "--h2", "1", "--out", str(out)]) == 3
+
+
+def test_reparam_non_finite_target_is_config_error(tmp_path):
+    sq = tmp_path / "sq.json"
+    assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+    out = tmp_path / "r.json"
+    proc = run_cli_process(["reparam", "--model", str(sq), "--t", "nan",
+                            "--h1", "0", "--h2", "1", "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error: activation values must be finite")
+    assert not out.exists()
 
 
 def test_usage_error_exits_three():

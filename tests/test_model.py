@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,15 @@ def test_activate_total_on_finite_inputs():
 def test_activation_requires_ordered_outputs():
     with pytest.raises(ValueError):
         ActivationParams(0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("values", [
+    (math.nan, -1.0, 1.0), (0.0, math.nan, 1.0), (0.0, -1.0, math.nan),
+    (math.inf, -1.0, 1.0), (0.0, -math.inf, 1.0), (0.0, -1.0, math.inf),
+])
+def test_activation_requires_finite_values(values):
+    with pytest.raises(ValueError, match="finite"):
+        ActivationParams(*values)
 
 
 def test_forward_affine_when_no_hidden_layer():
@@ -323,6 +333,16 @@ def test_loader_rejects_unknown_version():
     doc["version"] = 99
     with pytest.raises(ModelFormatError):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [("t", math.nan), ("h2", math.inf)])
+def test_loader_rejects_non_finite_activation(tmp_path, key, value):
+    doc = model_to_dict(BannModel(SIGN, (), LayerParams(np.ones((1, 1)), np.zeros(1))))
+    doc["activation"][key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))  # JSON with NaN and Infinity, as Python writes it
+    with pytest.raises(ModelFormatError, match="finite"):
+        load_model(str(path))
 
 
 def test_loader_rejects_malformed_document(tmp_path):

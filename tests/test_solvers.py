@@ -230,7 +230,7 @@ def test_schedule_divides_until_nonzero():
 
 def test_schedule_flags_hopeless_targets():
     X = np.arange(12.0).reshape(6, 2)
-    cfg = LassoConfig(max_halvings=40)
+    cfg = LassoConfig()
     result = scheduled_lasso_fit(StandardizedDesign(X), np.zeros(6), cfg, cfg.lambda0)
     assert not result.has_nonzero
     assert np.all(result.w == 0.0)
@@ -250,14 +250,16 @@ def test_schedule_crosses_the_activation_point():
     assert result.used_lambda * cfg.divisor >= lam_star  # first grid point below
 
 
-def test_lasso_flags_non_convergence():
+def test_lasso_flags_non_convergence(monkeypatch):
     rng = np.random.default_rng(12)
     X = rng.normal(size=(30, 5))
     y = rng.normal(size=30)
-    fit = lasso_fit(X, y, 0.0, LassoConfig(cd_max_iters=1, cd_tol=1e-14))
+    monkeypatch.setattr(LassoConfig, "max_steps", 1)
+    monkeypatch.setattr(LassoConfig, "kkt_slack", 1e-14)
+    fit = lasso_fit(X, y, 0.0, LassoConfig())
     assert not fit.converged
 
 
 def test_problem_validation():
     with pytest.raises(ConfigError):
-        LassoConfig(divisor=1.0)
+        LassoConfig(lambda0=0.0)

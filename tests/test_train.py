@@ -224,7 +224,7 @@ def test_multivariate_fit_on_row_mean_matches_tiled_design():
 
 def test_fit_hyperplane_zero_residuals_signal():
     state = LayerState(np.random.default_rng(4).normal(size=(10, 2)),
-                       np.zeros((10, 1)), LassoConfig(max_halvings=30), 1e5)
+                       np.zeros((10, 1)), LassoConfig(), 1e5)
     with pytest.raises(ZeroWeightVector):
         state.fit_hyperplane()
 
@@ -233,13 +233,14 @@ def layer_state(features, targets, seed_lambda=1e5):
     return LayerState(features, targets, LassoConfig(), seed_lambda)
 
 
-def test_fit_hyperplane_raises_on_non_converged_solve():
+def test_fit_hyperplane_raises_on_non_converged_solve(monkeypatch):
     rng = np.random.default_rng(40)
     features = rng.normal(size=(200, 3))
     targets = 3.0 * features[:, 0] + 3.0 * features[:, 1] + 0.1 * rng.normal(size=200)
     w, _ = LayerState(features, targets, LassoConfig(), 1e5).fit_hyperplane()
     assert np.count_nonzero(w) >= 2
-    cfg = TrainConfig(max_hidden_layers=1, patience=500, lasso=LassoConfig(cd_max_iters=1))
+    monkeypatch.setattr(LassoConfig, "max_steps", 1)
+    cfg = TrainConfig(max_hidden_layers=1, patience=500)
     with pytest.raises(SolverError):
         build_layer(features, targets, features, targets, cfg)
 
