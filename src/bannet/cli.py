@@ -206,10 +206,9 @@ def run_demo(args) -> int:
 def run_reparam(args) -> int:
     model = load_model(args.model)
     try:
-        target = ActivationParams(args.t, args.h1, args.h2)
+        result = reparametrize_activation(model, ActivationParams(args.t, args.h1, args.h2))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = reparametrize_activation(model, target)
     out = args.out or (os.path.splitext(args.model)[0] + "_reparam.json")
     save_model(result, out)
     print(f"wrote {out}")

@@ -99,12 +99,7 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path}: non-finite values present")
 
-    return Dataset(
-        values[:, feature_idx],
-        values[:, label_idx],
-        feature_names=tuple(header[i] for i in feature_idx),
-        label_names=tuple(header[i] for i in label_idx),
-    )
+    return Dataset(values[:, feature_idx], values[:, label_idx])
 
 
 def _c_parse(handle, n_cols: int) -> np.ndarray | None:

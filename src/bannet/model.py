@@ -48,6 +48,8 @@ class ActivationParams:
             raise ValueError(f"activation values must be finite, got {self}")
         if not (self.h1 < self.h2):
             raise ValueError(f"activation requires h1 < h2, got ({self.h1}, {self.h2})")
+        if not np.isfinite(float(self.h2) - float(self.h1)):
+            raise ValueError(f"activation gap h2 - h1 overflows, got ({self.h1}, {self.h2})")
 
 
 SIGN = ActivationParams(0.0, -1.0, 1.0)
@@ -121,8 +123,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: tuple[str, ...] | None = None
-    label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "features", _readonly(self.features, 2, "features"))
@@ -147,12 +147,7 @@ class Dataset:
         return self.labels.shape[1]
 
     def take(self, indices) -> "Dataset":
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            self.feature_names,
-            self.label_names,
-        )
+        return Dataset(self.features[indices], self.labels[indices])
 
 
 def activate(z, params: ActivationParams) -> np.ndarray:
@@ -232,7 +227,8 @@ def reparametrize_activation(model: BannModel, target: ActivationParams) -> Bann
     constant k through each unit's incoming row sum preserves every
     pre-activation sign and the final output. The first hidden layer only
     shifts its biases by the threshold change; the output layer takes the
-    row-sum correction without the threshold shift.
+    row-sum correction without the threshold shift. A weight scale a that
+    rounds to 0 or overflows is a ValueError.
     """
     src = model.activation
     if src == target:
@@ -241,6 +237,8 @@ def reparametrize_activation(model: BannModel, target: ActivationParams) -> Bann
         # No activations anywhere; the function is already independent of them.
         return BannModel(target, (), model.output)
     a = (src.h1 - src.h2) / (target.h1 - target.h2)
+    if a == 0.0 or not np.isfinite(a):
+        raise ValueError(f"weight scale (h1 - h2)/(h1' - h2') = {a!r} is not a nonzero double")
     k_const = a * target.h1 - src.h1
     delta = target.t - src.t
 
@@ -298,7 +296,7 @@ def model_from_dict(doc: dict) -> BannModel:
             np.array(doc["output"]["weights"], dtype=float),
             np.array(doc["output"]["biases"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return BannModel(activation, hidden, output)
 

@@ -31,6 +31,7 @@ from .model import (
     activate,
     count_nonzero_parameters,
     forward,
+    hidden_pattern,
     squared_error_sums,
     write_atomic,
 )
@@ -215,7 +216,7 @@ class LayerState:
     ):
         self.features = np.asarray(features, dtype=float)
         self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
-        self.dl, self.m = self.residuals.shape
+        self.m = self.residuals.shape[1]
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
@@ -252,6 +253,17 @@ class LayerState:
         sides = zip(_side_sums(self.residuals, side), (n_pos, self.m - n_pos))
         return max(float(np.max(np.abs(s))) for s, n in sides if n)
 
+    def _fit_unit(self, intercept: bool = False) -> tuple[Neuron, np.ndarray]:
+        """Fit a unit to the residuals and subtract its output; returns it and its sides."""
+        if intercept:
+            w, b = np.zeros(self.features.shape[1]), 1.0
+        else:
+            w, b = self.fit_hyperplane()
+        side = neuron_side(self.features, w, b)
+        c, d = compute_cd(self.residuals.T, side)
+        self._apply(side, c, d, -1.0)
+        return Neuron(w, float(b), c, d), side
+
     def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
         residual side imbalance after the update). An intercept unit, for
@@ -260,20 +272,14 @@ class LayerState:
         unit that would raise the training error, its gain lost in round-off,
         is not kept: ZeroWeightVector, with residuals and units as before."""
         pre = self.train_mse()
-        if intercept:
-            w, b = np.zeros(self.features.shape[1]), 1.0
-        else:
-            w, b = self.fit_hyperplane()
-        side = neuron_side(self.features, w, b)
-        c, d = compute_cd(self.residuals.T, side)
         saved = self.residuals.copy()
-        self._apply(side, c, d, -1.0)
+        unit, side = self._fit_unit(intercept)
         post = self.train_mse()
         if post > pre and not intercept:
             self.residuals = saved
             raise ZeroWeightVector("no hyperplane lowers the training error")
-        self.neurons.append(Neuron(w, float(b), c, d))
-        predicted = float(np.sum(c * c - d * d))
+        self.neurons.append(unit)
+        predicted = float(np.sum(unit.c * unit.c - unit.d * unit.d))
         return pre - post, predicted, self._side_imbalance(side)
 
     def replace_pass(self, cap: int) -> tuple[int, float]:
@@ -281,45 +287,37 @@ class LayerState:
         replacement is kept only if the training error strictly decreases;
         the first non-improving attempt restores the original unit bit-exactly
         and ends the pass. At most min(t-1, cap) attempts."""
-        t = len(self.neurons)
         accepted = 0
         worst_imbalance = 0.0
-        if t < 2 or cap <= 0:
-            return accepted, worst_imbalance
-        for k in range(min(t - 1, cap)):
+        for k in range(min(len(self.neurons) - 1, cap)):
             old = self.neurons[k]
             pre = self.train_mse()
             saved = self.residuals.copy()
-            old_side = neuron_side(self.features, old.w, old.b)
-            self._apply(old_side, old.c, old.d, +1.0)
+            self._apply(neuron_side(self.features, old.w, old.b), old.c, old.d, +1.0)
             try:
-                w, b = self.fit_hyperplane()
+                unit, side = self._fit_unit()
+                improved = self.train_mse() < pre
             except ZeroWeightVector:
+                improved = False
+            if not improved:
                 self.residuals = saved
                 break
-            side = neuron_side(self.features, w, b)
-            c, d = compute_cd(self.residuals.T, side)
-            self._apply(side, c, d, -1.0)
-            if self.train_mse() < pre:
-                self.neurons[k] = Neuron(w, float(b), c, d)
-                accepted += 1
-                worst_imbalance = max(worst_imbalance, self._side_imbalance(side))
-            else:
-                self.residuals = saved
-                break
+            self.neurons[k] = unit
+            accepted += 1
+            worst_imbalance = max(worst_imbalance, self._side_imbalance(side))
         return accepted, worst_imbalance
 
 
 @dataclass
 class LayerResult:
-    neurons: list[Neuron]
+    network: BannModel
     best_val_mse: float
     aborted: bool
     current_lambda: float
 
     @property
     def width(self) -> int:
-        return len(self.neurons)
+        return self.network.hidden[-1].width
 
 
 def build_layer(
@@ -336,15 +334,16 @@ def build_layer(
     """Grow one hidden layer on the given inputs, tracking validation error
     for early stopping, then roll back to the width with the best validation
     error. Validation only decides where growth stops and which width is
-    kept, never which unit comes next. The nnz of a record counts the frozen
-    layers ``kept`` below this one, the grown units and their output head."""
+    kept, never which unit comes next. A record's nnz counts its network: the
+    frozen layers ``kept`` below this one, the grown units and their output
+    head. The returned network is the network of the record at the kept width."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
     state = LayerState(features, targets, cfg.lasso, current_lambda or cfg.lasso.lambda0)
     val_t = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
     val_pred = np.zeros_like(val_t)
 
-    best_neurons: list[Neuron] = []
+    best: BannModel | None = None
     best_val = math.inf
     bad_streak = 0
     aborted = False
@@ -357,8 +356,7 @@ def build_layer(
                 break
             drop, predicted, imbalance = state.add_neuron(intercept=True)
             aborted = True
-        new = state.neurons[-1]
-        val_pred += neuron_side(val_features, new.w, new.b)[:, None] * new.c + new.d
+        val_pred += units_forward(state.neurons[-1:], val_features)
         # A lone unit has nothing to replace, so an intercept unit stays.
         before = state.neurons[: cfg.replace_cap]
         replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
@@ -368,9 +366,9 @@ def build_layer(
             val_pred -= units_forward(before[:replacements], val_features)
 
         val_mse = squared_error_sums(val_pred, val_t)[0] / val_t.shape[0]
+        grown, head_w, head_b = units_to_layer(state.neurons)
+        network = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
         if records is not None:
-            grown, head_w, head_b = units_to_layer(state.neurons)
-            partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
             records.append(
                 IterationRecord(
                     layer=layer_index,
@@ -381,13 +379,13 @@ def build_layer(
                     predicted_drop=predicted,
                     replacements=replacements,
                     lambda_used=state.current_lambda,
-                    nnz=count_nonzero_parameters(partial),
+                    nnz=count_nonzero_parameters(network),
                     side_imbalance=imbalance,
                 )
             )
 
-        if val_mse < best_val or not best_neurons:
-            best_neurons = list(state.neurons)
+        if val_mse < best_val or best is None:
+            best = network
             best_val = val_mse
             bad_streak = 0
         else:
@@ -398,7 +396,7 @@ def build_layer(
             break
 
     return LayerResult(
-        neurons=best_neurons,
+        network=best,
         best_val_mse=best_val,
         aborted=aborted,
         current_lambda=state.current_lambda,
@@ -422,7 +420,6 @@ def build_network(
     train_x, val_x = dataset.features, val_data.features
 
     current_lambda = cfg.lasso.lambda0
-    kept: list[LayerParams] = []
     incumbent: LayerResult | None = None
     for depth in range(1, cfg.max_hidden_layers + 1):
         result = build_layer(
@@ -434,21 +431,18 @@ def build_network(
             layer_index=depth,
             current_lambda=current_lambda,
             records=report.records,
-            kept=tuple(kept),
+            kept=incumbent.network.hidden if incumbent else (),
         )
         current_lambda = result.current_lambda
         if depth > 1 and result.best_val_mse >= incumbent.best_val_mse:
             break
-        layer, _, _ = units_to_layer(result.neurons)
-        kept.append(layer)
         incumbent = result
         if result.aborted or depth == cfg.max_hidden_layers:
             break
-        train_x = activate(train_x @ layer.weights.T + layer.biases, SIGN)
-        val_x = activate(val_x @ layer.weights.T + layer.biases, SIGN)
+        train_x = hidden_pattern(result.network, train_x, depth, start=depth - 1)
+        val_x = hidden_pattern(result.network, val_x, depth, start=depth - 1)
 
-    _, head_w, head_b = units_to_layer(incumbent.neurons)
-    model = BannModel(SIGN, tuple(kept), LayerParams(head_w, head_b))
+    model = incumbent.network
 
     report.architecture = model.architecture()
     total, _ = squared_error_sums(forward(model, dataset.features), dataset.labels)
@@ -457,7 +451,7 @@ def build_network(
     report.final_val_mse = total / val_data.m
     report.records.append(
         IterationRecord(
-            layer=len(kept),
+            layer=len(model.hidden),
             t=incumbent.width,
             train_mse=report.final_train_mse,
             val_mse=report.final_val_mse,

@@ -390,8 +390,9 @@ def test_demo_product_certificate(tmp_path, capsys):
     (["product", "--m", "inf", "--delta", "0.1"], "m"),
     (["product", "--m", "nan", "--delta", "0.1"], "m"),
     (["product", "--m", "1e200", "--delta", "0.1"], "m"),
+    (["product", "--m", "1e154", "--delta", "0.9"], "m"),
 ], ids=["square-r0", "product-delta2", "product-m0", "product-m-inf", "product-m-nan",
-        "product-m-square-overflows"])
+        "product-m-square-overflows", "product-output-sum-overflows"])
 def test_demo_bad_parameter_is_config_error(tmp_path, argv, name):
     out = tmp_path / "demo.json"
     proc = run_cli_process(["demo", *argv, "--out", str(out)])
@@ -399,6 +400,18 @@ def test_demo_bad_parameter_is_config_error(tmp_path, argv, name):
     assert proc.stderr.startswith("config error:") and f" {name} must" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_demo_product_largest_m_keeps_certificate(tmp_path, capsys):
+    # 4*m*m, the total magnitude of the output terms, is just below the
+    # double range: no overflow warning, and the certificate still holds.
+    out = tmp_path / "prod.json"
+    assert main(["demo", "product", "--m", "6.7e153", "--delta", "0.9",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    claimed = float(printed.split("claimed_bound=")[1].split()[0])
+    measured = float(printed.split("measured_grid_error=")[1].split()[0])
+    assert math.isfinite(claimed) and measured <= claimed
 
 
 def test_reparam_subcommand(tmp_path):
@@ -425,6 +438,53 @@ def test_reparam_non_finite_target_is_config_error(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("config error: activation values must be finite")
     assert not out.exists()
+
+
+def test_reparam_overflowing_target_gap_is_config_error(tmp_path):
+    sq = tmp_path / "sq.json"
+    assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+    out = tmp_path / "r.json"
+    proc = run_cli_process(["reparam", "--model", str(sq), "--t", "0",
+                            "--h1=-1e308", "--h2", "1e308", "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error: activation gap h2 - h1 overflows")
+    assert not out.exists()
+
+
+def test_reparam_underflowing_weight_scale_is_config_error(tmp_path):
+    # a = (h1 - h2)/(h1' - h2') = 2e-300/2e300 rounds to 0, which would
+    # zero every deeper weight.
+    sq = tmp_path / "sq.json"
+    tiny = tmp_path / "tiny.json"
+    assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+    assert main(["reparam", "--model", str(sq), "--t", "0",
+                 "--h1=-1e-300", "--h2", "1e-300", "--out", str(tiny)]) == 0
+    out = tmp_path / "r.json"
+    proc = run_cli_process(["reparam", "--model", str(tiny), "--t", "0",
+                            "--h1=-1e300", "--h2", "1e300", "--out", str(out)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error: weight scale")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("place", ["activation", "weight"])
+def test_evaluate_model_with_huge_integer_is_data_error(tmp_path, place):
+    sq = tmp_path / "sq.json"
+    assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+    doc = json.loads(sq.read_text(encoding="utf-8"))
+    if place == "activation":
+        doc["activation"]["t"] = 10**400  # a 401-digit integer literal
+    else:
+        doc["output"]["weights"][0][0] = 10**400
+    sq.write_text(json.dumps(doc), encoding="utf-8")
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    proc = run_cli_process(["evaluate", "--model", str(sq), "--data", str(data),
+                            "--labels", "1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: malformed model document")
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exits_three():

@@ -15,6 +15,7 @@ from bannet.model import (
     Dataset,
     LayerParams,
     count_nonzero_parameters,
+    forward,
     hidden_pattern,
     mse,
     squared_error_sums,
@@ -385,7 +386,7 @@ def test_build_layer_patience_one_stops_at_width_one():
     cfg1 = TrainConfig(max_neurons_per_layer=1, max_hidden_layers=1, patience=1)
     first = build_layer(x, y, x, y, cfg1)
     # validation labels equal to the width-1 prediction: any further unit hurts
-    val_y = units_forward(first.neurons, val_x)
+    val_y = forward(first.network, val_x)
     cfg = TrainConfig(max_neurons_per_layer=10, max_hidden_layers=1, patience=1)
     result = build_layer(x, y, val_x, val_y, cfg)
     assert result.width == 1
@@ -503,7 +504,8 @@ def test_train_config_validation():
 def test_report_nnz_counts_kept_layers_and_grown_units():
     # Append-only growth (replace_cap=0) never rewrites a unit, so regrowing
     # each layer from its starting penalty reproduces the units of every
-    # growth record.
+    # growth record, and the returned model is the network of the record at
+    # the kept width.
     rng = np.random.default_rng(16)
     x = rng.normal(size=(240, 3))
     y = np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0) + 0.05 * rng.normal(size=(240, 1))
@@ -515,6 +517,7 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
     kept: tuple = ()
     features = train.features
     lam = cfg.lasso.lambda0
+    scored = None
     for layer in (1, 2):
         rows = [r for r in growth if r.layer == layer]
         state = LayerState(features, train.labels, cfg.lasso, lam)
@@ -524,9 +527,16 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
             partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
             assert r.t == len(state.neurons)
             assert r.nnz == count_nonzero_parameters(partial)
+            if layer == len(model.hidden) and r.t == model.hidden[-1].width:
+                scored = (grown.weights, grown.biases, head_w, head_b)
         lam = rows[-1].lambda_used
         kept = (model.hidden[0],)
         features = hidden_pattern(model, train.features, 1)
+    last = model.hidden[-1]
+    want = (last.weights, last.biases, model.output.weights, model.output.biases)
+    assert scored is not None
+    for got, expected in zip(scored, want):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60)
