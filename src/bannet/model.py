@@ -228,7 +228,7 @@ def reparametrize_activation(model: BannModel, target: ActivationParams) -> Bann
     pre-activation sign and the final output. The first hidden layer only
     shifts its biases by the threshold change; the output layer takes the
     row-sum correction without the threshold shift. A weight scale a that
-    rounds to 0 or overflows is a ValueError.
+    is not a normal double is a ValueError.
     """
     src = model.activation
     if src == target:
@@ -237,8 +237,8 @@ def reparametrize_activation(model: BannModel, target: ActivationParams) -> Bann
         # No activations anywhere; the function is already independent of them.
         return BannModel(target, (), model.output)
     a = (src.h1 - src.h2) / (target.h1 - target.h2)
-    if a == 0.0 or not np.isfinite(a):
-        raise ValueError(f"weight scale (h1 - h2)/(h1' - h2') = {a!r} is not a nonzero double")
+    if not np.finfo(float).tiny <= abs(a) < np.inf:
+        raise ValueError(f"weight scale (h1 - h2)/(h1' - h2') = {a!r} is not a normal double")
     k_const = a * target.h1 - src.h1
     delta = target.t - src.t
 

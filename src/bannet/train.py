@@ -38,17 +38,6 @@ from .model import (
 from .solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 
 
-@dataclass
-class Neuron:
-    """One hidden unit: hyperplane (w, b) and per-output coefficients (c, d).
-    Never modified: a refit makes a new unit, so unit lists can be shared."""
-
-    w: np.ndarray
-    b: float
-    c: np.ndarray
-    d: np.ndarray
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     max_neurons_per_layer: int = 500
@@ -99,11 +88,6 @@ class TrainReport:
                 f"{r.lambda_used!r},{r.nnz}"
             )
         write_atomic(path, "\n".join(lines) + "\n")
-
-
-def neuron_side(features: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    """Side of the hyperplane for every row: -1 below, +1 at or above."""
-    return activate(features @ w + b, SIGN)
 
 
 def optimal_bias(w: np.ndarray, features: np.ndarray, residuals: np.ndarray) -> float:
@@ -173,23 +157,13 @@ def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
 
 
-def units_forward(neurons: list[Neuron], features: np.ndarray) -> np.ndarray:
-    """Prediction of a single grown layer: sum_t c_t * side_t(x) + d_t."""
-    dl = neurons[0].c.shape[0]
-    pred = np.zeros((features.shape[0], dl))
-    for unit in neurons:
-        side = neuron_side(features, unit.w, unit.b)
-        pred += side[:, None] * unit.c + unit.d
+def units_forward(units: tuple[np.ndarray, ...], features: np.ndarray) -> np.ndarray:
+    """Prediction of grown units alone, given as rows (w, b, c, d) per unit:
+    sum_t c_t * side_t(x) + d_t, added one unit at a time."""
+    pred = np.zeros((features.shape[0], units[2].shape[1]))
+    for w, b, c, d in zip(*units):
+        pred += activate(features @ w + b, SIGN)[:, None] * c + d
     return pred
-
-
-def units_to_layer(neurons: list[Neuron]) -> tuple[LayerParams, np.ndarray, np.ndarray]:
-    """Pack grown units into layer weights plus the linear head (C, sum of d)."""
-    weights = np.array([unit.w for unit in neurons])
-    biases = np.array([unit.b for unit in neurons])
-    head_w = np.array([unit.c for unit in neurons], order="F").T  # (dl, width), C order
-    head_b = np.sum([unit.d for unit in neurons], axis=0)
-    return LayerParams(weights, biases), head_w, head_b
 
 
 class LayerState:
@@ -205,6 +179,17 @@ class LayerState:
 
     ``residuals`` is output-major, (dl, m) in C order, so per-output passes
     read contiguous rows; optimal_bias and compute_cd take its transpose.
+
+    The grown units live in place in four arrays, unit k at index k of each:
+    ``W`` (units x p) holds one hyperplane normal per row, ``b`` one bias per
+    unit, ``C`` (dl x units, C order, the layout of the output head's
+    weights) the coefficients c as columns, and ``D`` (units x dl) one row
+    of d per unit. An addition appends a unit; an accepted replacement
+    overwrites unit k. The head's bias is ``D.sum(axis=0)``, summed afresh
+    each time, so it rounds the same however the units came about.
+    ``units_forward`` reads, through ``rows``, the new unit, the units a
+    replace pass overwrote, and the copy of the first ``replace_cap`` units
+    taken before that pass.
     """
 
     def __init__(
@@ -220,7 +205,14 @@ class LayerState:
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
-        self.neurons: list[Neuron] = []
+        self.W = np.empty((0, self.features.shape[1]))
+        self.b = np.empty(0)
+        self.C = np.empty((self.residuals.shape[0], 0))
+        self.D = np.empty((0, self.residuals.shape[0]))
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        """Units start..stop-1 as per-unit rows (w, b, c, d), copied."""
+        return tuple(a[start:stop].copy() for a in (self.W, self.b, self.C.T, self.D))
 
     def train_mse(self) -> float:
         flat = self.residuals.ravel()
@@ -253,16 +245,17 @@ class LayerState:
         sides = zip(_side_sums(self.residuals, side), (n_pos, self.m - n_pos))
         return max(float(np.max(np.abs(s))) for s, n in sides if n)
 
-    def _fit_unit(self, intercept: bool = False) -> tuple[Neuron, np.ndarray]:
-        """Fit a unit to the residuals and subtract its output; returns it and its sides."""
+    def _fit_unit(self, intercept: bool = False) -> tuple:
+        """Fit a unit to the residuals and subtract its output; returns its
+        w, b, c, d and the side of every row."""
         if intercept:
             w, b = np.zeros(self.features.shape[1]), 1.0
         else:
             w, b = self.fit_hyperplane()
-        side = neuron_side(self.features, w, b)
+        side = activate(self.features @ w + b, SIGN)
         c, d = compute_cd(self.residuals.T, side)
         self._apply(side, c, d, -1.0)
-        return Neuron(w, float(b), c, d), side
+        return w, b, c, d, side
 
     def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
@@ -273,36 +266,40 @@ class LayerState:
         is not kept: ZeroWeightVector, with residuals and units as before."""
         pre = self.train_mse()
         saved = self.residuals.copy()
-        unit, side = self._fit_unit(intercept)
+        w, b, c, d, side = self._fit_unit(intercept)
         post = self.train_mse()
         if post > pre and not intercept:
             self.residuals = saved
             raise ZeroWeightVector("no hyperplane lowers the training error")
-        self.neurons.append(unit)
-        predicted = float(np.sum(unit.c * unit.c - unit.d * unit.d))
+        self.W = np.vstack([self.W, w])
+        self.b = np.append(self.b, b)
+        self.C = np.hstack([self.C, c[:, None]])
+        self.D = np.vstack([self.D, d])
+        predicted = float(np.sum(c * c - d * d))
         return pre - post, predicted, self._side_imbalance(side)
 
     def replace_pass(self, cap: int) -> tuple[int, float]:
         """Refit the oldest units one by one against current residuals. Each
         replacement is kept only if the training error strictly decreases;
-        the first non-improving attempt restores the original unit bit-exactly
-        and ends the pass. At most min(t-1, cap) attempts."""
+        the first non-improving attempt restores the residuals bit-exactly,
+        leaves unit k as it was and ends the pass. At most min(t-1, cap)
+        attempts."""
         accepted = 0
         worst_imbalance = 0.0
-        for k in range(min(len(self.neurons) - 1, cap)):
-            old = self.neurons[k]
+        for k in range(min(len(self.b) - 1, cap)):
             pre = self.train_mse()
             saved = self.residuals.copy()
-            self._apply(neuron_side(self.features, old.w, old.b), old.c, old.d, +1.0)
+            side = activate(self.features @ self.W[k] + self.b[k], SIGN)
+            self._apply(side, self.C[:, k], self.D[k], +1.0)
             try:
-                unit, side = self._fit_unit()
+                w, b, c, d, side = self._fit_unit()
                 improved = self.train_mse() < pre
             except ZeroWeightVector:
                 improved = False
             if not improved:
                 self.residuals = saved
                 break
-            self.neurons[k] = unit
+            self.W[k], self.b[k], self.C[:, k], self.D[k] = w, b, c, d
             accepted += 1
             worst_imbalance = max(worst_imbalance, self._side_imbalance(side))
         return accepted, worst_imbalance
@@ -356,18 +353,19 @@ def build_layer(
                 break
             drop, predicted, imbalance = state.add_neuron(intercept=True)
             aborted = True
-        val_pred += units_forward(state.neurons[-1:], val_features)
+        val_pred += units_forward(state.rows(t - 1, t), val_features)
         # A lone unit has nothing to replace, so an intercept unit stays.
-        before = state.neurons[: cfg.replace_cap]
+        before = state.rows(0, cfg.replace_cap)
         replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
         if replacements:
             imbalance = max(imbalance, repl_imbalance)
-            val_pred += units_forward(state.neurons[:replacements], val_features)
-            val_pred -= units_forward(before[:replacements], val_features)
+            val_pred += units_forward(state.rows(0, replacements), val_features)
+            val_pred -= units_forward(tuple(a[:replacements] for a in before), val_features)
 
         val_mse = squared_error_sums(val_pred, val_t)[0] / val_t.shape[0]
-        grown, head_w, head_b = units_to_layer(state.neurons)
-        network = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
+        # LayerParams copies, so later replacements leave this network alone.
+        grown = LayerParams(state.W, state.b)
+        network = BannModel(SIGN, kept + (grown,), LayerParams(state.C, state.D.sum(axis=0)))
         if records is not None:
             records.append(
                 IterationRecord(

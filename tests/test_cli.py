@@ -451,9 +451,11 @@ def test_reparam_overflowing_target_gap_is_config_error(tmp_path):
     assert not out.exists()
 
 
-def test_reparam_underflowing_weight_scale_is_config_error(tmp_path):
-    # a = (h1 - h2)/(h1' - h2') = 2e-300/2e300 rounds to 0, which would
-    # zero every deeper weight.
+@pytest.mark.parametrize("h2", ["1e300", "1e22"])
+def test_reparam_underflowing_weight_scale_is_config_error(tmp_path, h2):
+    # a = (h1 - h2)/(h1' - h2') = 2e-300/2e300 rounds to 0, which would zero
+    # every deeper weight; 2e-300/2e22 is subnormal (about 1e-322), and the
+    # few bits left of each scaled weight move the output by up to 0.0119.
     sq = tmp_path / "sq.json"
     tiny = tmp_path / "tiny.json"
     assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
@@ -461,7 +463,7 @@ def test_reparam_underflowing_weight_scale_is_config_error(tmp_path):
                  "--h1=-1e-300", "--h2", "1e-300", "--out", str(tiny)]) == 0
     out = tmp_path / "r.json"
     proc = run_cli_process(["reparam", "--model", str(tiny), "--t", "0",
-                            "--h1=-1e300", "--h2", "1e300", "--out", str(out)])
+                            f"--h1=-{h2}", "--h2", h2, "--out", str(out)])
     assert proc.returncode == 3
     assert proc.stderr.startswith("config error: weight scale")
     assert "Traceback" not in proc.stderr

@@ -297,6 +297,25 @@ def test_dataset_validation():
         Dataset(np.array([[np.nan]]), np.ones((1, 1)))
 
 
+def test_layer_and_dataset_copy_their_inputs_and_are_read_only():
+    # Training overwrites its unit arrays in place after building a network
+    # from them, so the network must hold copies.
+    weights, biases = np.ones((2, 3)), np.zeros(2)
+    features, labels = np.ones((4, 2)), np.zeros((4, 1))
+    layer = LayerParams(weights, biases)
+    data = Dataset(features, labels)
+    for source in (weights, biases, features, labels):
+        source += 7.0
+    assert np.array_equal(layer.weights, np.ones((2, 3)))
+    assert np.array_equal(layer.biases, np.zeros(2))
+    assert np.array_equal(data.features, np.ones((4, 2)))
+    assert np.array_equal(data.labels, np.zeros((4, 1)))
+    with pytest.raises(ValueError):
+        layer.weights[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        data.features[0, 0] = 2.0
+
+
 def test_model_dimension_chain_validated():
     with pytest.raises(DimensionError):
         BannModel(

@@ -23,16 +23,39 @@ from bannet.model import (
 from bannet.solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 from bannet.train import (
     LayerState,
-    Neuron,
     TrainConfig,
     build_layer,
     build_network,
     compute_cd,
-    neuron_side,
     optimal_bias,
-    units_forward,
-    units_to_layer,
 )
+
+
+def unit_side(features, w, b):
+    """Side of the hyperplane for every row: -1 below, +1 at or above."""
+    return np.where(features @ w + b < 0, -1.0, 1.0)
+
+
+def state_units(state):
+    """The grown units of a LayerState as a list of (w, b, c, d), one per unit."""
+    return [(state.W[k], state.b[k], state.C[:, k], state.D[k]) for k in range(len(state.b))]
+
+
+def units_prediction(units, features):
+    """Prediction of a unit list alone: sum_t c_t * side_t(x) + d_t."""
+    pred = np.zeros((features.shape[0], len(units[0][2])))
+    for w, b, c, d in units:
+        pred += unit_side(features, w, b)[:, None] * c + d
+    return pred
+
+
+def pack_units(units):
+    """Layer weights plus the linear head (C, sum of d) of a unit list."""
+    weights = np.array([w for w, _, _, _ in units])
+    biases = np.array([b for _, b, _, _ in units])
+    head_w = np.array([c for _, _, c, _ in units], order="F").T  # (dl, width), C order
+    head_b = np.sum([d for _, _, _, d in units], axis=0)
+    return LayerParams(weights, biases), head_w, head_b
 
 
 def split_objective(proj, residuals, b):
@@ -188,7 +211,7 @@ def test_fit_hyperplane_separates_constant_clusters():
     features = np.vstack([left, right])
     residuals = np.concatenate([np.zeros(20), np.full(20, 10.0)])[:, None]
     w, b = LayerState(features, residuals, LassoConfig(), 1e5).fit_hyperplane()
-    side = neuron_side(features, w, b)
+    side = unit_side(features, w, b)
     assert len(set(side[:20])) == 1 and len(set(side[20:])) == 1
     assert side[0] != side[-1]
     assert split_objective(features @ w, residuals, b) == pytest.approx(0.0, abs=1e-12)
@@ -262,8 +285,7 @@ def test_add_neuron_drop_matches_presplit_identity():
         state = layer_state(rng.normal(size=(m, 2)), rng.normal(size=(m, 1)) * 3)
         pre = state.residuals.copy()  # (dl, m)
         state.add_neuron()
-        unit = state.neurons[-1]
-        side = neuron_side(state.features, unit.w, unit.b)
+        side = unit_side(state.features, state.W[-1], state.b[-1])
         expected = 0.0
         for col in pre:
             for mask in (side > 0, side < 0):
@@ -290,7 +312,7 @@ def test_side_imbalance_matches_masked_sums():
     state = layer_state(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
     for _ in range(3):
         state.add_neuron()
-    sides = [neuron_side(state.features, u.w, u.b) for u in state.neurons]
+    sides = [unit_side(state.features, w, b) for w, b in zip(state.W, state.b)]
     sides += [np.ones(50), -np.ones(50), np.where(rng.normal(size=50) < 0, -1.0, 1.0)]
     tol = 1e-12 * np.abs(state.residuals).sum()
     for side in sides:
@@ -312,7 +334,7 @@ def test_add_neuron_refuses_a_unit_that_raises_the_error(monkeypatch):
     with pytest.raises(ZeroWeightVector):
         state.add_neuron()
     assert np.array_equal(state.residuals, before)
-    assert len(state.neurons) == 1
+    assert len(state.b) == 1
 
 
 def test_replace_pass_noop_with_single_unit():
@@ -323,18 +345,28 @@ def test_replace_pass_noop_with_single_unit():
     assert accepted == 0
 
 
-def test_replace_pass_rejects_fixed_point_and_restores():
+def test_replace_pass_rejects_fixed_point_and_restores(monkeypatch):
     # second unit contributes nothing; refitting the first reproduces it, so
     # the training error cannot strictly decrease and the pass stops
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
     state = layer_state(features, np.array([[0.0], [0.0], [8.0], [8.0]]))
     state.add_neuron()
     assert state.train_mse() == pytest.approx(0.0, abs=1e-20)
-    state.neurons.append(Neuron(np.array([1.0]), -0.5, np.zeros(1), np.zeros(1)))
+    state.W = np.vstack([state.W, [1.0]])
+    state.b = np.append(state.b, -0.5)
+    state.C = np.hstack([state.C, np.zeros((1, 1))])
+    state.D = np.vstack([state.D, np.zeros(1)])
     before = state.residuals.copy()
-    accepted, _ = state.replace_pass(10)
-    assert accepted == 0
-    assert np.array_equal(state.residuals, before)
+    units = [a.copy() for a in (state.W, state.b, state.C, state.D)]
+    # A rejected refit leaves every unit bit for bit as it was, also when the
+    # refit's coefficients differ from the unit's: these shift every residual.
+    for cd in (compute_cd, lambda r, side: (np.zeros(1), np.ones(1))):
+        monkeypatch.setattr("bannet.train.compute_cd", cd)
+        accepted, _ = state.replace_pass(10)
+        assert accepted == 0
+        assert np.array_equal(state.residuals, before)
+        for got, want in zip((state.W, state.b, state.C, state.D), units):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_replace_pass_improves_suboptimal_greedy_order():
@@ -408,7 +440,7 @@ def test_build_layer_validation_error_matches_recompute(monkeypatch):
 
     def recording(self, cap):
         out = replace_pass(self, cap)
-        steps.append(list(self.neurons))
+        steps.append([tuple(a.copy() for a in unit) for unit in state_units(self)])
         return out
 
     monkeypatch.setattr(LayerState, "replace_pass", recording)
@@ -418,8 +450,34 @@ def test_build_layer_validation_error_matches_recompute(monkeypatch):
     assert len(records) == len(steps) == 40
     assert sum(r.replacements for r in records) >= 10
     for units, r in zip(steps, records):
-        want = squared_error_sums(units_forward(units, val_x), val_y)[0] / 200
+        want = squared_error_sums(units_prediction(units, val_x), val_y)[0] / 200
         assert r.val_mse == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
+    # Replacements overwrite units in place; the network kept at the best
+    # validation record must be the one that record scored, bit for bit.
+    rng = np.random.default_rng(2)
+    x, val_x = rng.normal(size=(200, 3)), rng.normal(size=(100, 3))
+    y = np.sin(2 * x[:, :1]) + 0.5 * rng.normal(size=(200, 1))
+    val_y = np.sin(2 * val_x[:, :1]) + 0.5 * rng.normal(size=(100, 1))
+    def model_bytes(model):
+        layers = model.hidden + (model.output,)
+        return [(a.shape, a.tobytes()) for layer in layers for a in (layer.weights, layer.biases)]
+
+    captured = []
+
+    def spy(model):
+        captured.append(model_bytes(model))
+        return count_nonzero_parameters(model)
+
+    monkeypatch.setattr("bannet.train.count_nonzero_parameters", spy)
+    records = []
+    cfg = TrainConfig(max_neurons_per_layer=30, max_hidden_layers=1, replace_cap=10, patience=8)
+    result = build_layer(x, y, val_x, val_y, cfg, records=records)
+    assert len(captured) == len(records)
+    assert sum(r.replacements for r in records[result.width:]) >= 1
+    assert model_bytes(result.network) == captured[result.width - 1]
 
 
 def test_build_layer_constant_targets_aborts_at_width_one():
@@ -523,9 +581,9 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
         state = LayerState(features, train.labels, cfg.lasso, lam)
         for r in rows:
             state.add_neuron()
-            grown, head_w, head_b = units_to_layer(state.neurons)
+            grown, head_w, head_b = pack_units(state_units(state))
             partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
-            assert r.t == len(state.neurons)
+            assert r.t == len(state.b)
             assert r.nnz == count_nonzero_parameters(partial)
             if layer == len(model.hidden) and r.t == model.hidden[-1].width:
                 scored = (grown.weights, grown.biases, head_w, head_b)
