@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import BannModel, Dataset, hidden_pattern
+from .model import BannModel, Dataset, propagate, unpack_pattern
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
     """Group dataset rows by equality of their layer-k activation pattern.
 
     Exact equality is safe: activation outputs are drawn from a two-element
-    set, so a pattern is fully described by which units output h2.
+    set, so a pattern is fully described by which units output h1. The block
+    loop packs those bits into one key per row (a uint64 up to 64 units, else
+    whole 8-byte words), and only each region's pattern is unpacked as floats.
 
     ``coarser``, a partition of the same rows at a lower depth (by default
     depth 0, each row its own region), is refined: only its representatives
@@ -59,13 +61,20 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
     if coarser is None:
         coarser = RegionPartition(0, np.arange(dataset.m), dataset.m, dataset.features)
     _check_rows(coarser, dataset.m)
-    patterns = hidden_pattern(model, coarser.reps, k, start=coarser.layer_depth)
-    bits = np.packbits(patterns == model.activation.h2, axis=1)
-    keys = np.ascontiguousarray(bits).view(np.dtype((np.void, bits.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    bits = propagate(model, coarser.reps, k, with_output=False, start=coarser.layer_depth)
+    keys = bits.view(np.uint64 if bits.shape[1] == 8 else np.dtype((np.void, bits.shape[1])))
+    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
     order = np.argsort(first)  # region ids in first-row order
     region = np.argsort(order)[inverse][coarser.region]
-    return RegionPartition(k, region, len(first), patterns[first[order]])
+    return RegionPartition(k, region, len(first), unpack_pattern(model, bits[first[order]], k))
+
+
+def partition_chain(model: BannModel, dataset: Dataset) -> list[RegionPartition]:
+    """Partitions at depths 0 (one region per row) to the last hidden layer."""
+    chain = [RegionPartition(0, np.arange(dataset.m), dataset.m, dataset.features)]
+    for k in range(1, model.depth):
+        chain.append(partition_regions(model, dataset, k, chain[-1]))
+    return chain
 
 
 def _check_rows(partition: RegionPartition, m: int) -> None:
@@ -108,8 +117,5 @@ def classification_lower_bound(partition: RegionPartition, labels: np.ndarray) -
 
 def bound_chain(model: BannModel, dataset: Dataset) -> list[tuple[int, int, float]]:
     """(depth, region count, squared-error floor) per hidden depth, each refining the last."""
-    rows, part = [], None
-    for k in range(1, model.depth):
-        part = partition_regions(model, dataset, k, part)
-        rows.append((k, part.n_regions, regression_lower_bound(part, dataset.labels)))
-    return rows
+    return [(part.layer_depth, part.n_regions, regression_lower_bound(part, dataset.labels))
+            for part in partition_chain(model, dataset)[1:]]

@@ -22,13 +22,13 @@ from .approx import (
     product_grid_error,
     square_grid_error,
 )
-from .bounds import bound_chain
+from .bounds import bound_chain, partition_chain
 from .data import SplitSpec, load_csv, split_dataset
 from .errors import BannetError, ConfigError, DataError, TrainingAbort
 from .model import (
     ActivationParams,
     count_nonzero_parameters,
-    forward,
+    forward,  # unused here; perfbench/tracing.py times calls through this name
     load_model,
     mse,
     reparametrize_activation,
@@ -165,11 +165,15 @@ def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
         raise DataError(
             f"model outputs {model.out_width} values, data has {data.n_labels} labels"
         )
-    total, per_output = squared_error_sums(forward(model, data.features), data.labels)
+    # One output per region of the deepest partition (per row without hidden layers).
+    chain = partition_chain(model, data)
+    deepest = chain[-1]
+    pred = (deepest.reps @ model.output.weights.T + model.output.biases)[deepest.region]
+    total, per_output = squared_error_sums(pred, data.labels)
     print(f"mse: {total / data.m!r}")
     print("per-output mse: " + ", ".join(repr(float(v)) for v in per_output / data.m))
-    for k, count, _ in bound_chain(model, data):
-        print(f"regions at depth {k}: {count}")
+    for part in chain[1:]:
+        print(f"regions at depth {part.layer_depth}: {part.n_regions}")
     print(f"nonzero parameters: {count_nonzero_parameters(model)}")
     return 0
 

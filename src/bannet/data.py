@@ -54,7 +54,7 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     """
     spec = parse_label_spec(label_columns)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             header = next(csv.reader(handle), None)
             values = None if header is None else _c_parse(handle, len(header))
             if values is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import tempfile
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .errors import DataError, DimensionError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
 
-# forward and hidden_pattern work on blocks of rows whose widest layer holds
+# propagate works on blocks of rows whose widest layer holds
 # at most this many activations (512 KiB of float64, so a block's
 # temporaries stay in cache); measured faster than 2^14 or 2^18 and up.
 BLOCK_VALUES = 1 << 16
@@ -152,19 +153,30 @@ class Dataset:
 
 def activate(z, params: ActivationParams) -> np.ndarray:
     """Apply the two-valued activation elementwise; the threshold itself maps to h2."""
-    z = np.asarray(z, dtype=float)
-    return np.where(z < params.t, params.h1, params.h2)
+    return np.asarray(_select(np.asarray(z, dtype=float) < params.t, params))
 
 
-def _propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0) -> np.ndarray:
+def _select(below: np.ndarray, params: ActivationParams) -> np.ndarray:
+    """h1 where the 0/1 mask ``below`` is set, else h2, exactly as ``np.where``
+    gives it: the bits of h2 xor-ed with h1 ^ h2, with no branch to mispredict."""
+    h1, h2 = struct.unpack("<2q", struct.pack("<2d", params.h1, params.h2))
+    out = np.multiply(below, h1 ^ h2, dtype=np.int64)
+    out ^= h2
+    return out.view(np.float64)
+
+
+def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0) -> np.ndarray:
     """Push a single input vector or a batch of row vectors through hidden
-    layers start+1..upto and, if asked, the output layer.
+    layers start+1..upto and, if asked, the output layer; otherwise end with
+    layer upto's bits ``z < t``, packed little-endian into whole 8-byte words.
 
     Rows go through all layers a block at a time, and a block holds at most
     BLOCK_VALUES activations of the widest layer, so no temporary grows with
     the batch. Rows are independent, so blocking changes no value beyond the
     last-bit rounding that BLAS may do differently for another row count.
     """
+    if not with_output and not 0 <= start < upto <= len(model.hidden):
+        raise DimensionError(f"hidden layers {start + 1}..{upto} out of range 1..{len(model.hidden)}")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     batch = x.reshape(1, -1) if single else x
@@ -176,28 +188,36 @@ def _propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0
         raise DimensionError(
             f"layer {start + 1}: input width {batch.shape[1]}, expected {layers[0].in_width}"
         )
-    out = np.empty((batch.shape[0], layers[-1].width))
+    width = layers[-1].width
+    out = (np.empty((len(batch), width)) if with_output
+           else np.zeros((len(batch), 8 * -(-width // 64)), np.uint8))
     step = max(1, BLOCK_VALUES // max(layer.width for layer in layers))
     for row in range(0, batch.shape[0], step):
         block = batch[row : row + step]
-        for layer in model.hidden[start:upto]:
-            block = activate(block @ layer.weights.T + layer.biases, model.activation)
-        if with_output:
-            block = block @ model.output.weights.T + model.output.biases
-        out[row : row + step] = block
+        for i, layer in enumerate(layers, start=1):
+            block = block @ layer.weights.T
+            block += layer.biases
+            block = activate(block, model.activation) if i < len(layers) else block
+        if not with_output:
+            block = np.packbits(block < model.activation.t, axis=1, bitorder="little")
+        out[row : row + step, : block.shape[1]] = block
     return out[0] if single else out
 
 
 def forward(model: BannModel, x) -> np.ndarray:
     """Network output for a single input vector or a batch of row vectors."""
-    return _propagate(model, x, len(model.hidden), with_output=True)
+    return propagate(model, x, len(model.hidden), with_output=True)
 
 
 def hidden_pattern(model: BannModel, x, k: int, start: int = 0) -> np.ndarray:
     """Pattern over {h1, h2} after hidden layer k of x, layer ``start``'s output (0: input)."""
-    if not 0 <= start < k <= model.depth - 1:
-        raise DimensionError(f"hidden layers {start + 1}..{k} out of range 1..{model.depth - 1}")
-    return _propagate(model, x, k, with_output=False, start=start)
+    return unpack_pattern(model, propagate(model, x, k, with_output=False, start=start), k)
+
+
+def unpack_pattern(model: BannModel, bits: np.ndarray, k: int) -> np.ndarray:
+    """Patterns over {h1, h2} of hidden layer k from the bits ``propagate`` packs."""
+    below = np.unpackbits(bits, axis=-1, count=model.hidden[k - 1].width, bitorder="little")
+    return _select(below, model.activation)
 
 
 def mse(model: BannModel, data: Dataset) -> float:

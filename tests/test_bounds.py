@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,3 +324,29 @@ def test_partition_rejects_a_coarser_partition_that_does_not_fit():
     fewer = Dataset(data.features[:19], data.labels[:19])
     with pytest.raises(DataError):
         partition_regions(model, fewer, 3, second)
+
+
+def test_depth_one_partition_builds_no_float_pattern():
+    # A [4, 46, 22, 24, 1] network whose first-layer units each cut two of the
+    # four features, as in the benchmark's read path. The float pattern of
+    # every row would take m x 46 x 8 bytes; the packed keys take 8 a row.
+    rng = np.random.default_rng(0)
+    m, widths = 50_000, [4, 46, 22, 24, 1]
+    pairs = list(itertools.combinations(range(4), 2))
+    layers = []
+    for k in range(len(widths) - 1):
+        weights = np.zeros((widths[k + 1], widths[k]))
+        for j, row in enumerate(weights):
+            cols = list(pairs[j % len(pairs)]) if k == 0 else rng.choice(widths[k], 4, False)
+            row[cols] = rng.normal(size=len(cols))
+        layers.append(LayerParams(weights, rng.normal(size=widths[k + 1])))
+    model = BannModel(SIGN, tuple(layers[:-1]), layers[-1])
+    data = Dataset(rng.normal(size=(m, 4)), rng.normal(size=(m, 1)))
+    tracemalloc.start()
+    try:
+        part = partition_regions(model, data, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.n_rows == m and part.reps.shape == (part.n_regions, 46)
+    assert peak < m * 46 * 8 / 2

@@ -12,6 +12,7 @@ import bannet
 from bannet import LassoConfig, SplitSpec, TrainConfig, forward, load_model, mse
 from bannet.cli import RunManifest, build_parser, load_manifest, main
 from bannet.data import load_csv
+from bannet.model import SIGN, BannModel, LayerParams, save_model
 
 
 def write_dataset(path, seed=0, m=120):
@@ -362,6 +363,37 @@ def test_bounds_subcommand_csv(tmp_path, capsys):
     assert lines[0] == "k,region_count,bound"
     k, count, bound = lines[1].split(",")
     assert int(k) == 1 and int(count) >= 1 and float(bound) >= 0.0
+
+
+def test_evaluate_model_without_hidden_layers(tmp_path, capsys):
+    # Every row is its own region, so the printed mse is that of forward.
+    model = BannModel(SIGN, (), LayerParams(np.array([[2.0, -0.5]]), np.array([0.25])))
+    save_model(model, str(tmp_path / "affine.json"))
+    rng = np.random.default_rng(3)
+    rows = np.column_stack([rng.normal(size=(50, 2)), rng.normal(size=50)])
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{y!r}\n" for a, b, y in rows.tolist()),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(tmp_path / "affine.json"), "--data", str(data)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"mse: {mse(model, load_csv(str(data), 1))!r}"
+    assert not any(line.startswith("regions at depth") for line in printed)
+
+
+def test_evaluate_mse_is_at_least_the_deepest_floor(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_dataset(data, seed=9, m=300)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--labels", "1", "--max-layers", "2",
+                 "--max-neurons", "12", "--out", str(out)]) == 0
+    common = ["--model", str(out / "model.json"), "--data", str(data)]
+    capsys.readouterr()
+    assert main(["evaluate", *common]) == 0
+    evaluated = float(capsys.readouterr().out.splitlines()[0].split(": ")[1])
+    assert main(["bounds", *common]) == 0
+    floor = float(capsys.readouterr().out.strip().splitlines()[-1].split(",")[2])
+    assert evaluated >= floor * (1 - 1e-12)
 
 
 def test_demo_square_certificate(tmp_path, capsys):

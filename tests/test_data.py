@@ -252,3 +252,17 @@ def test_load_csv_parses_decimal_strings_like_float(tmp_path_factory, rows, quot
     want = np.array([[float(a), float(b)] for a, b in rows])
     got = np.hstack([data.features, data.labels])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("body", ["1.5,2,3\n4,5.25,6\n", "1.5,2,3\n4,5_0,6\n"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, body):
+    # Spreadsheet exports start UTF-8 files with a byte-order mark; it must not
+    # become part of the first column's name. numpy's parser rejects "5_0",
+    # which ``float`` reads, so the second body takes the cell-by-cell path.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("a,b,y\n" + body, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for spec in ("a", "y", 1):
+        want, got = load_csv(str(plain), spec), load_csv(str(marked), spec)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)

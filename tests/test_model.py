@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bannet.approx import build_square_approximator
 from bannet.errors import DataError, DimensionError, ModelFormatError
@@ -51,6 +53,26 @@ def test_activate_total_on_finite_inputs():
     z = rng.normal(size=100) * 1e8
     out = activate(z, params)
     assert set(np.unique(out)) <= {params.h1, params.h2}
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.data())
+def test_activate_matches_where_byte_for_byte(data):
+    t = data.draw(FINITE, label="t")
+    levels = data.draw(st.lists(st.one_of(st.just(-0.0), FINITE), min_size=2, max_size=2))
+    h1, h2 = sorted(levels)
+    assume(h1 < h2 and math.isfinite(h2 - h1))
+    params = ActivationParams(t, h1, h2)
+    edges = [math.nan, math.inf, -math.inf, t, math.nextafter(t, -math.inf),
+             math.nextafter(t, math.inf), -0.0, 0.0]
+    values = np.array(data.draw(st.lists(st.one_of(st.sampled_from(edges), st.floats()),
+                                         min_size=1, max_size=12)))
+    for z in (np.array(values[0]), values, np.stack([values, values[::-1]])):
+        got, want = activate(z, params), np.where(z < t, h1, h2)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_activation_requires_ordered_outputs():

@@ -53,7 +53,16 @@ def test_workload_cycle_passes_every_check(tmp_path, name):
     assert unrestored == []
     metrics = tracing.layer_metrics(tracer.spans, 1)
     if name == "eval_regions":
-        # The chain still reaches every depth through the wrapped partition_regions.
+        # evaluate and bounds each partition every depth once, through the
+        # wrapped partition_regions, so the per-depth metrics time both.
         assert all(metrics[f"bounds.regions.D{k}"] > 0 for k in (1, 2, 3))
+        depths = {"cli.evaluate": [], "cli.bounds": []}
+        for rec in tracer.spans:
+            if rec["name"] == "bounds.partition":
+                command = rec
+                while not command["name"].startswith("cli."):
+                    command = tracer.spans[command["parent"]]
+                depths[command["name"]].append(rec["depth"])
+        assert depths == {"cli.evaluate": [1, 2, 3], "cli.bounds": [1, 2, 3]}
     else:
         assert metrics["cli.train_s"] > 0
