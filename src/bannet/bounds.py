@@ -47,10 +47,9 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
                       coarser: RegionPartition | None = None) -> RegionPartition:
     """Group dataset rows by equality of their layer-k activation pattern.
 
-    Exact equality is safe: activation outputs are drawn from a two-element
-    set, so a pattern is fully described by which units output h1. The block
-    loop packs those bits into one key per row (a uint64 up to 64 units, else
-    whole 8-byte words), and only each region's pattern is unpacked as floats.
+    Exact equality is safe: outputs take two values, so a pattern is its bits
+    ``z < t``. The block loop packs them into one key per row (a uint64 up to
+    64 units, else whole 8-byte words); only each region's pattern is unpacked.
 
     ``coarser``, a partition of the same rows at a lower depth (by default
     depth 0, each row its own region), is refined: only its representatives
@@ -58,8 +57,7 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
     evaluated once. A row-by-row pass can round equal inputs differently next
     to a threshold; the two agree wherever pre-activations are exact.
     """
-    if coarser is None:
-        coarser = RegionPartition(0, np.arange(dataset.m), dataset.m, dataset.features)
+    coarser = _rows(dataset) if coarser is None else coarser
     _check_rows(coarser, dataset.m)
     bits = propagate(model, coarser.reps, k, with_output=False, start=coarser.layer_depth)
     keys = bits.view(np.uint64 if bits.shape[1] == 8 else np.dtype((np.void, bits.shape[1])))
@@ -71,10 +69,14 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
 
 def partition_chain(model: BannModel, dataset: Dataset) -> list[RegionPartition]:
     """Partitions at depths 0 (one region per row) to the last hidden layer."""
-    chain = [RegionPartition(0, np.arange(dataset.m), dataset.m, dataset.features)]
+    chain = [_rows(dataset)]
     for k in range(1, model.depth):
         chain.append(partition_regions(model, dataset, k, chain[-1]))
     return chain
+
+
+def _rows(dataset: Dataset) -> RegionPartition:
+    return RegionPartition(0, np.arange(dataset.m), dataset.m, dataset.features)
 
 
 def _check_rows(partition: RegionPartition, m: int) -> None:

@@ -165,10 +165,8 @@ def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
         raise DataError(
             f"model outputs {model.out_width} values, data has {data.n_labels} labels"
         )
-    # One output per region of the deepest partition (per row without hidden layers).
-    chain = partition_chain(model, data)
-    deepest = chain[-1]
-    pred = (deepest.reps @ model.output.weights.T + model.output.biases)[deepest.region]
+    chain = partition_chain(model, data)  # its deepest partition gets one output per region
+    pred = (chain[-1].reps @ model.output.weights.T + model.output.biases)[chain[-1].region]
     total, per_output = squared_error_sums(pred, data.labels)
     print(f"mse: {total / data.m!r}")
     print("per-output mse: " + ", ".join(repr(float(v)) for v in per_output / data.m))

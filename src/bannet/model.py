@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import tempfile
 from dataclasses import dataclass
 
@@ -153,16 +152,8 @@ class Dataset:
 
 def activate(z, params: ActivationParams) -> np.ndarray:
     """Apply the two-valued activation elementwise; the threshold itself maps to h2."""
-    return np.asarray(_select(np.asarray(z, dtype=float) < params.t, params))
-
-
-def _select(below: np.ndarray, params: ActivationParams) -> np.ndarray:
-    """h1 where the 0/1 mask ``below`` is set, else h2, exactly as ``np.where``
-    gives it: the bits of h2 xor-ed with h1 ^ h2, with no branch to mispredict."""
-    h1, h2 = struct.unpack("<2q", struct.pack("<2d", params.h1, params.h2))
-    out = np.multiply(below, h1 ^ h2, dtype=np.int64)
-    out ^= h2
-    return out.view(np.float64)
+    z = np.asarray(z, dtype=float)
+    return np.where(z < params.t, params.h1, params.h2)
 
 
 def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0) -> np.ndarray:
@@ -188,9 +179,8 @@ def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0)
         raise DimensionError(
             f"layer {start + 1}: input width {batch.shape[1]}, expected {layers[0].in_width}"
         )
-    width = layers[-1].width
-    out = (np.empty((len(batch), width)) if with_output
-           else np.zeros((len(batch), 8 * -(-width // 64)), np.uint8))
+    shape = (len(batch), layers[-1].width if with_output else 8 * -(-layers[-1].width // 64))
+    out = np.empty(shape) if with_output else np.zeros(shape, np.uint8)
     step = max(1, BLOCK_VALUES // max(layer.width for layer in layers))
     for row in range(0, batch.shape[0], step):
         block = batch[row : row + step]
@@ -217,7 +207,7 @@ def hidden_pattern(model: BannModel, x, k: int, start: int = 0) -> np.ndarray:
 def unpack_pattern(model: BannModel, bits: np.ndarray, k: int) -> np.ndarray:
     """Patterns over {h1, h2} of hidden layer k from the bits ``propagate`` packs."""
     below = np.unpackbits(bits, axis=-1, count=model.hidden[k - 1].width, bitorder="little")
-    return _select(below, model.activation)
+    return np.where(below.astype(bool), model.activation.h1, model.activation.h2)
 
 
 def mse(model: BannModel, data: Dataset) -> float:
