@@ -49,7 +49,9 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
 
     Exact equality is safe: outputs take two values, so a pattern is its bits
     ``z < t``. The block loop packs them into one key per row (a uint64 up to
-    64 units, else whole 8-byte words); only each region's pattern is unpacked.
+    64 units, else whole 8-byte words). One unstable argsort brings equal keys
+    together; each run of them is a region, whose first row is the least row
+    index in the run. Only each region's pattern is unpacked.
 
     ``coarser``, a partition of the same rows at a lower depth (by default
     depth 0, each row its own region), is refined: only its representatives
@@ -60,11 +62,19 @@ def partition_regions(model: BannModel, dataset: Dataset, k: int,
     coarser = _rows(dataset) if coarser is None else coarser
     _check_rows(coarser, dataset.m)
     bits = propagate(model, coarser.reps, k, with_output=False, start=coarser.layer_depth)
-    keys = bits.view(np.uint64 if bits.shape[1] == 8 else np.dtype((np.void, bits.shape[1])))
-    _, first, inverse = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    order = np.argsort(first)  # region ids in first-row order
-    region = np.argsort(order)[inverse][coarser.region]
-    return RegionPartition(k, region, len(first), unpack_pattern(model, bits[first[order]], k))
+    words = bits.shape[1]
+    keys = bits.view(np.uint64 if words == 8 else np.dtype((np.void, words)))[:, 0]
+    rows = np.argsort(keys)
+    sorted_keys = keys[rows]
+    new_run = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    first = np.minimum.reduceat(rows, np.flatnonzero(new_run))
+    order = np.argsort(first)  # runs in first-row order
+    run_region = np.empty(len(first), np.intp)
+    run_region[order] = np.arange(len(first))
+    region = np.empty(len(keys), np.intp)
+    region[rows] = run_region[np.cumsum(new_run) - 1]
+    reps = unpack_pattern(model, bits[first[order]], k)
+    return RegionPartition(k, region[coarser.region], len(first), reps)
 
 
 def partition_chain(model: BannModel, dataset: Dataset) -> list[RegionPartition]:

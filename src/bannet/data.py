@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-import itertools
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -55,11 +56,14 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     spec = parse_label_spec(label_columns)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            header = next(csv.reader(handle), None)
-            values = None if header is None else _c_parse(handle, len(header))
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            values = None
+            # The C parser opens the path again, which rereads only a regular file.
+            if header is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                values = _c_parse(os.path.abspath(path), reader.line_num, len(header))
             if values is None:
-                handle.seek(0)
-                body = list(csv.reader(handle))[1:]
+                body = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -99,22 +103,52 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path}: non-finite values present")
 
-    return Dataset(values[:, feature_idx], values[:, label_idx])
+    return Dataset(_columns(values, feature_idx), _columns(values, label_idx))
 
 
-def _c_parse(handle, n_cols: int) -> np.ndarray | None:
-    """The remaining lines parsed by numpy's C parser, which rounds like ``float``.
-    None where it could differ from ``_parse_cells``: if it raised, warned (no
-    data) or gave another shape than (lines, header width), as blank lines do."""
-    lines = itertools.count()  # zip stops at the handle's end: counts its lines
+def _columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
+    """Columns ``idx`` of values; a view where they are a contiguous range."""
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        return values[:, idx[0] : idx[0] + len(idx)]
+    return values[:, idx]
+
+
+def _c_parse(path: str, header_lines: int, n_cols: int) -> np.ndarray | None:
+    """The lines after the header, parsed from the absolute ``path`` by numpy's
+    C parser, which reads the file in large chunks and rounds like ``float``.
+
+    None where it could differ from ``_parse_cells``: for a name that numpy
+    would decompress, or if it raised, warned (no data) or gave another shape
+    than (lines, header width), as blank lines do, since it skips them. Lines
+    are counted as ``newline=""`` splits them. An absolute path has no URL
+    scheme, so numpy never fetches it.
+    """
+    if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.loadtxt((line for line, _ in zip(handle, lines)),
-                                delimiter=",", comments=None, quotechar='"', ndmin=2)
+            values = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                skiprows=header_lines, encoding="utf-8-sig")
     except (ValueError, UserWarning):
         return None
-    return values if values.shape == (next(lines), n_cols) else None
+    lines = _count_lines(path) - header_lines
+    return values if values.shape == (lines, n_cols) else None
+
+
+def _count_lines(path: str) -> int:
+    """Lines ending in \\n, \\r or \\r\\n, plus an unterminated last line,
+    counted over 256 KiB binary chunks of the file."""
+    lines, last = 0, b""
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 18), b""):
+            # A numpy compare counts faster than bytes.count; \r is rare.
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines -= last == b"\r" and chunk[:1] == b"\n"  # a \r\n split between chunks
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
 
 
 def _parse_cells(path: str, header: list[str], body: list[list[str]]) -> np.ndarray:

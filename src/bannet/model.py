@@ -165,6 +165,9 @@ def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0)
     BLOCK_VALUES activations of the widest layer, so no temporary grows with
     the batch. Rows are independent, so blocking changes no value beyond the
     last-bit rounding that BLAS may do differently for another row count.
+    A block's bits go into one bool buffer of whole 64-bit rows, allocated
+    once per call and zero beyond the layer's width, and one flat
+    ``np.packbits`` of it gives the block's keys.
     """
     if not with_output and not 0 <= start < upto <= len(model.hidden):
         raise DimensionError(f"hidden layers {start + 1}..{upto} out of range 1..{len(model.hidden)}")
@@ -179,18 +182,26 @@ def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0)
         raise DimensionError(
             f"layer {start + 1}: input width {batch.shape[1]}, expected {layers[0].in_width}"
         )
-    shape = (len(batch), layers[-1].width if with_output else 8 * -(-layers[-1].width // 64))
-    out = np.empty(shape) if with_output else np.zeros(shape, np.uint8)
+    width = layers[-1].width
     step = max(1, BLOCK_VALUES // max(layer.width for layer in layers))
+    if with_output:
+        out = np.empty((len(batch), width))
+    else:
+        words = -(-width // 64)
+        out = np.empty((len(batch), 8 * words), np.uint8)
+        below = np.zeros((min(step, len(batch)), 64 * words), bool)  # columns >= width stay 0
     for row in range(0, batch.shape[0], step):
         block = batch[row : row + step]
         for i, layer in enumerate(layers, start=1):
             block = block @ layer.weights.T
             block += layer.biases
             block = activate(block, model.activation) if i < len(layers) else block
-        if not with_output:
-            block = np.packbits(block < model.activation.t, axis=1, bitorder="little")
-        out[row : row + step, : block.shape[1]] = block
+        if with_output:
+            out[row : row + step] = block
+        else:
+            n = len(block)
+            np.less(block, model.activation.t, out=below[:n, :width])
+            out[row : row + n] = np.packbits(below[:n], bitorder="little").reshape(n, -1)
     return out[0] if single else out
 
 
@@ -207,7 +218,7 @@ def hidden_pattern(model: BannModel, x, k: int, start: int = 0) -> np.ndarray:
 def unpack_pattern(model: BannModel, bits: np.ndarray, k: int) -> np.ndarray:
     """Patterns over {h1, h2} of hidden layer k from the bits ``propagate`` packs."""
     below = np.unpackbits(bits, axis=-1, count=model.hidden[k - 1].width, bitorder="little")
-    return np.where(below.astype(bool), model.activation.h1, model.activation.h2)
+    return np.where(below.view(bool), model.activation.h1, model.activation.h2)
 
 
 def mse(model: BannModel, data: Dataset) -> float:

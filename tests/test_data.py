@@ -1,4 +1,7 @@
 import csv
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -195,6 +198,10 @@ CSV_CASES = {
     "nan": ("a,y\n1,2\nnan,3\n", "non-finite values present"),
     "inf": ("a,y\n1,2\n3,-inf\n", "non-finite values present"),
     "every row short": ("a,b,y\n1,2\n3,4\n", "line 2 has 2 cells, expected 3"),
+    "CR endings": ("a,y\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    "CR blank line": ("a,y\r1,2\r\r3,4\r", "line 3 has 0 cells, expected 2"),
+    "header with a quoted line break": ('"a\nb",y\n1,2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
+    "blank first data line": ("a,y\n\n1,2\n", "line 2 has 0 cells, expected 2"),
 }
 
 
@@ -217,9 +224,54 @@ def test_load_csv_fast_path_keeps_values_and_messages(tmp_path, text, want):
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
+@pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma",
+                                  "http://host/d.csv"])
+def test_load_csv_reads_names_numpy_would_decompress_or_fetch_as_plain_files(
+        tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+    with open(name, "w", encoding="utf-8") as handle:
+        handle.write("a,y\n1,2\n3,4\n")
+    data = load_csv(name, 1)
+    assert np.hstack([data.features, data.labels]).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_csv_reads_a_named_pipe_through_its_one_handle(tmp_path):
+    # A pipe cannot be read again by name: what the header read buffered is
+    # gone, so every row must come from the handle that read the header.
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    loaded = []
+    reader = threading.Thread(target=lambda: loaded.append(load_csv(str(path), 1)), daemon=True)
+    reader.start()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("a,y\n" + "1,2\n" * 5000)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert loaded[0].m == 5000
+
+
+def test_load_csv_peak_memory_stays_near_one_copy_of_the_values(tmp_path):
+    # The parsed array plus the Dataset's copy is 2x the values; a copy of
+    # the whole file or of a column selection would push the peak past 2.5x.
+    path = tmp_path / "d.csv"
+    values = np.random.default_rng(0).normal(size=(100_000, 5))
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", header="a,b,c,d,y", comments="")
+    tracemalloc.start()
+    try:
+        data = load_csv(str(path), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.hstack([data.features, data.labels]), values)
+    assert peak < 2.5 * values.nbytes
+
+
 def test_load_csv_bad_utf8_deep_in_file_gives_the_csv_reader_message(tmp_path):
     # The decoder's position is relative to its chunk, so the message must
-    # come from a fresh read of the whole file, not from the C parser's.
+    # come from the csv.reader handle, which decodes the chunks a fresh read
+    # of the whole file decodes, not from the C parser's.
     path = tmp_path / "d.csv"
     path.write_bytes(b"a,y\n" + b"1,2\n" * 3000 + b"\xff,3\n")
     with open(path, encoding="utf-8", newline="") as handle:

@@ -23,6 +23,7 @@ from bannet.model import (
     model_from_dict,
     model_to_dict,
     mse,
+    propagate,
     reparametrize_activation,
     save_model,
     squared_error_sums,
@@ -191,6 +192,28 @@ def test_blocked_forward_and_patterns_match_unblocked_bit_for_bit():
         assert np.array_equal(hidden_pattern(model, x, k), want)
         assert np.array_equal(hidden_pattern(model, x[-1], k), want[-1])
         assert hidden_pattern(model, x[:0], k).shape == (0, widths[k])
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
+def test_packed_keys_are_packbits_of_the_bits_padded_to_whole_words(width):
+    # The keys themselves, not their unpacked patterns: a padding bit left
+    # set in a reused buffer would change a key but no pattern. Exact dyadic
+    # sums make the blocked bits those of one unblocked product.
+    rng = np.random.default_rng(width)
+    layer = LayerParams(rng.integers(-64, 65, size=(width, 3)) / 16.0,
+                        rng.integers(-64, 65, size=width) / 64.0)
+    head = LayerParams(np.ones((1, width)), [0.0])
+    model = BannModel(ActivationParams(0.25, -0.5, 1.5), (layer,), head)
+    step = BLOCK_VALUES // width
+    x = rng.integers(-256, 257, size=(2 * step + step // 3 + 1, 3)) / 64.0
+
+    bits = np.packbits(x @ layer.weights.T + layer.biases < 0.25, axis=1, bitorder="little")
+    want = np.zeros((len(x), 8 * -(-width // 64)), np.uint8)
+    want[:, : bits.shape[1]] = bits
+    got = propagate(model, x, 1, with_output=False)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert np.array_equal(propagate(model, x[-1], 1, with_output=False), want[-1])
 
 
 def test_two_hidden_neurons_give_at_most_four_patterns():
