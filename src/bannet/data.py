@@ -58,12 +58,12 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            values = None
+            header_lines, values = reader.line_num, None
             # The C parser opens the path again, which rereads only a regular file.
             if header is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                values = _c_parse(os.path.abspath(path), reader.line_num, len(header))
+                values = _c_parse(os.path.abspath(path), header_lines, len(header))
             if values is None:
-                body = list(reader)
+                body = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -97,7 +97,7 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     feature_idx = [i for i in range(n_cols) if i not in label_idx]
 
     if values is None:
-        values = _parse_cells(path, header, body)
+        values = _parse_cells(path, header, header_lines, body)
     if values.shape[0] < 1:
         raise DataError(f"{path}: no data rows")
     if not np.all(np.isfinite(values)):
@@ -151,11 +151,13 @@ def _count_lines(path: str) -> int:
     return lines + (last not in (b"", b"\n", b"\r"))
 
 
-def _parse_cells(path: str, header: list[str], body: list[list[str]]) -> np.ndarray:
-    """Cell-by-cell parse that reports the first bad row or cell in file order."""
+def _parse_cells(path: str, header: list[str], end: int, body: list[tuple]) -> np.ndarray:
+    """Cell-by-cell parse naming the first bad row or cell by the line it starts on.
+    ``body`` pairs each row with its last line; the header's last line is ``end``."""
     n_cols = len(header)
     values = np.empty((len(body), n_cols))
-    for r, row in enumerate(body, start=2):
+    for i, (row_end, row) in enumerate(body):
+        r, end = end + 1, row_end
         if len(row) != n_cols:
             raise DataError(f"{path}: line {r} has {len(row)} cells, expected {n_cols}")
         for c, cell in enumerate(row):
@@ -163,7 +165,7 @@ def _parse_cells(path: str, header: list[str], body: list[list[str]]) -> np.ndar
             if not text:
                 raise DataError(f"{path}: line {r}, column {header[c]!r}: empty cell")
             try:
-                values[r - 2, c] = float(text)
+                values[i, c] = float(text)
             except ValueError:
                 raise DataError(
                     f"{path}: line {r}, column {header[c]!r}: non-numeric cell {cell!r}"

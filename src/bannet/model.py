@@ -300,23 +300,26 @@ def model_to_dict(model: BannModel) -> dict:
     }
 
 
+def _numbers(value):
+    """``value`` itself, refused if it holds a JSON true or false."""
+    if any(isinstance(v, bool) for v in np.array(value, dtype=object).flat):
+        raise TypeError("true or false where a number belongs")
+    return value
+
+
 def model_from_dict(doc: dict) -> BannModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = doc.get("version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
     try:
         act = doc["activation"]
-        activation = ActivationParams(float(act["t"]), float(act["h1"]), float(act["h2"]))
+        activation = ActivationParams(*(float(_numbers(act[k])) for k in ("t", "h1", "h2")))
         hidden = tuple(
-            LayerParams(np.array(h["weights"], dtype=float), np.array(h["biases"], dtype=float))
-            for h in doc["hidden"]
+            LayerParams(_numbers(h["weights"]), _numbers(h["biases"])) for h in doc["hidden"]
         )
-        output = LayerParams(
-            np.array(doc["output"]["weights"], dtype=float),
-            np.array(doc["output"]["biases"], dtype=float),
-        )
+        output = LayerParams(_numbers(doc["output"]["weights"]), _numbers(doc["output"]["biases"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return BannModel(activation, hidden, output)

@@ -157,17 +157,18 @@ def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
 
 
-def units_forward(units: tuple[np.ndarray, ...], features: np.ndarray) -> np.ndarray:
-    """Prediction of grown units alone, given as rows (w, b, c, d) per unit:
-    sum_t c_t * side_t(x) + d_t, added one unit at a time."""
-    pred = np.zeros((features.shape[0], units[2].shape[1]))
-    for w, b, c, d in zip(*units):
-        pred += activate(features @ w + b, SIGN)[:, None] * c + d
+def units_forward(units: list[tuple], features: np.ndarray) -> np.ndarray:
+    """Output-major (dl, rows) sum_t c_t * side_t(x) + d_t of units given as (w, b, c, d)."""
+    pred = np.zeros((len(units[0][3]), features.shape[0]))
+    for w, b, c, d in units:
+        step = np.outer(c, activate(features @ w + b, SIGN))
+        step += d[:, None]
+        pred += step
     return pred
 
 
 class LayerState:
-    """Mutable bookkeeping while one hidden layer grows.
+    """Mutable bookkeeping while one hidden layer grows; nothing else changes its units.
 
     The regression design (the layer inputs) is fixed for the whole layer,
     so its standardization and Gram matrix are computed once up front.
@@ -184,18 +185,19 @@ class LayerState:
     ``W`` (units x p) holds one hyperplane normal per row, ``b`` one bias per
     unit, ``C`` (dl x units, C order, the layout of the output head's
     weights) the coefficients c as columns, and ``D`` (units x dl) one row
-    of d per unit. An addition appends a unit; an accepted replacement
-    overwrites unit k. The head's bias is ``D.sum(axis=0)``, summed afresh
-    each time, so it rounds the same however the units came about.
-    ``units_forward`` reads, through ``rows``, the new unit, the units a
-    replace pass overwrote, and the copy of the first ``replace_cap`` units
-    taken before that pass.
+    of d per unit. The head's bias is ``D.sum(axis=0)``, summed afresh each
+    time, so it rounds the same however the units came about. A unit fit
+    changes nothing but the penalty schedule; an addition appends its unit,
+    a kept replacement overwrites unit k, and ``val_pred``, the output-major
+    prediction on the validation rows, follows the kept units.
     """
 
     def __init__(
         self,
         features: np.ndarray,
         targets: np.ndarray,
+        val_features: np.ndarray,
+        val_targets: np.ndarray,
         lasso_cfg: LassoConfig,
         current_lambda: float,
     ):
@@ -209,21 +211,23 @@ class LayerState:
         self.b = np.empty(0)
         self.C = np.empty((self.residuals.shape[0], 0))
         self.D = np.empty((0, self.residuals.shape[0]))
-
-    def rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Units start..stop-1 as per-unit rows (w, b, c, d), copied."""
-        return tuple(a[start:stop].copy() for a in (self.W, self.b, self.C.T, self.D))
+        self.val_features = np.asarray(val_features, dtype=float)
+        self.val_targets = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
+        self.val_pred = np.zeros_like(self.val_targets.T, order="C")
 
     def train_mse(self) -> float:
         flat = self.residuals.ravel()
         return float(flat @ flat / self.m)
 
-    def fit_hyperplane(self) -> tuple[np.ndarray, float]:
-        """Sparse fit for the normal direction, then the exact split search
-        for the bias. Advances the penalty schedule.
+    def val_mse(self) -> float:
+        return squared_error_sums(self.val_pred.T, self.val_targets)[0] / self.val_targets.shape[0]
+
+    def fit_hyperplane(self, residuals: np.ndarray) -> tuple[np.ndarray, float]:
+        """Sparse fit to (dl, m) residuals for the normal direction, then the
+        exact split search for the bias. Advances the penalty schedule.
         Raises SolverError when the lasso solve hits its step cap."""
         sched = scheduled_lasso_fit(
-            self.design, self.residuals.mean(axis=0), self.lasso_cfg, self.current_lambda
+            self.design, residuals.mean(axis=0), self.lasso_cfg, self.current_lambda
         )
         if not sched.converged:
             raise SolverError(
@@ -233,29 +237,26 @@ class LayerState:
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
             raise ZeroWeightVector("penalty schedule exhausted with all-zero weights")
-        return sched.w, optimal_bias(sched.w, self.features, self.residuals.T)
-
-    def _apply(self, side: np.ndarray, c: np.ndarray, d: np.ndarray, sign: float) -> None:
-        step = np.outer(sign * c, side)
-        step += sign * d[:, None]
-        self.residuals += step
+        return sched.w, optimal_bias(sched.w, self.features, residuals.T)
 
     def _side_imbalance(self, side: np.ndarray) -> float:
         n_pos = int(np.count_nonzero(side > 0))
         sides = zip(_side_sums(self.residuals, side), (n_pos, self.m - n_pos))
         return max(float(np.max(np.abs(s))) for s, n in sides if n)
 
-    def _fit_unit(self, intercept: bool = False) -> tuple:
-        """Fit a unit to the residuals and subtract its output; returns its
-        w, b, c, d and the side of every row."""
+    def _fit_unit(self, residuals: np.ndarray, intercept: bool = False) -> tuple:
+        """Fit a unit to (dl, m) residuals; returns (w, b, c, d), row sides, leftover, its mse."""
         if intercept:
             w, b = np.zeros(self.features.shape[1]), 1.0
         else:
-            w, b = self.fit_hyperplane()
+            w, b = self.fit_hyperplane(residuals)
         side = activate(self.features @ w + b, SIGN)
-        c, d = compute_cd(self.residuals.T, side)
-        self._apply(side, c, d, -1.0)
-        return w, b, c, d, side
+        c, d = compute_cd(residuals.T, side)
+        left = np.outer(c, side)
+        left += d[:, None]
+        np.subtract(residuals, left, out=left)
+        flat = left.ravel()
+        return (w, b, c, d), side, left, float(flat @ flat / self.m)
 
     def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
@@ -265,44 +266,45 @@ class LayerState:
         unit that would raise the training error, its gain lost in round-off,
         is not kept: ZeroWeightVector, with residuals and units as before."""
         pre = self.train_mse()
-        saved = self.residuals.copy()
-        w, b, c, d, side = self._fit_unit(intercept)
-        post = self.train_mse()
+        (w, b, c, d), side, left, post = self._fit_unit(self.residuals, intercept)
         if post > pre and not intercept:
-            self.residuals = saved
             raise ZeroWeightVector("no hyperplane lowers the training error")
+        self.residuals = left
         self.W = np.vstack([self.W, w])
         self.b = np.append(self.b, b)
         self.C = np.hstack([self.C, c[:, None]])
         self.D = np.vstack([self.D, d])
-        predicted = float(np.sum(c * c - d * d))
-        return pre - post, predicted, self._side_imbalance(side)
+        self.val_pred += units_forward([(w, b, c, d)], self.val_features)
+        return pre - post, float(np.sum(c * c - d * d)), self._side_imbalance(side)
 
     def replace_pass(self, cap: int) -> tuple[int, float]:
-        """Refit the oldest units one by one against current residuals. Each
-        replacement is kept only if the training error strictly decreases;
-        the first non-improving attempt restores the residuals bit-exactly,
-        leaves unit k as it was and ends the pass. At most min(t-1, cap)
-        attempts."""
-        accepted = 0
+        """Refit the oldest units one by one, each against the current
+        residuals with its own output added back. A refit is kept only if
+        the training error strictly decreases; the first non-improving
+        attempt leaves unit k as it was and ends the pass. At most
+        min(t-1, cap) attempts. The validation prediction then gains the
+        kept units' output and loses the output of the units they replaced."""
+        kept, replaced = [], []
         worst_imbalance = 0.0
         for k in range(min(len(self.b) - 1, cap)):
-            pre = self.train_mse()
-            saved = self.residuals.copy()
-            side = activate(self.features @ self.W[k] + self.b[k], SIGN)
-            self._apply(side, self.C[:, k], self.D[k], +1.0)
+            old = (self.W[k].copy(), self.b[k], self.C[:, k].copy(), self.D[k].copy())
+            residuals = units_forward([old], self.features)
+            residuals += self.residuals
             try:
-                w, b, c, d, side = self._fit_unit()
-                improved = self.train_mse() < pre
+                unit, side, left, post = self._fit_unit(residuals)
             except ZeroWeightVector:
-                improved = False
-            if not improved:
-                self.residuals = saved
                 break
-            self.W[k], self.b[k], self.C[:, k], self.D[k] = w, b, c, d
-            accepted += 1
+            if not post < self.train_mse():
+                break
+            self.residuals = left
+            self.W[k], self.b[k], self.C[:, k], self.D[k] = unit
+            kept.append(unit)
+            replaced.append(old)
             worst_imbalance = max(worst_imbalance, self._side_imbalance(side))
-        return accepted, worst_imbalance
+        if kept:
+            self.val_pred += units_forward(kept, self.val_features)
+            self.val_pred -= units_forward(replaced, self.val_features)
+        return len(kept), worst_imbalance
 
 
 @dataclass
@@ -336,9 +338,8 @@ def build_layer(
     head. The returned network is the network of the record at the kept width."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
-    state = LayerState(features, targets, cfg.lasso, current_lambda or cfg.lasso.lambda0)
-    val_t = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
-    val_pred = np.zeros_like(val_t)
+    state = LayerState(features, targets, val_features, val_targets, cfg.lasso,
+                       current_lambda or cfg.lasso.lambda0)
 
     best: BannModel | None = None
     best_val = math.inf
@@ -353,16 +354,9 @@ def build_layer(
                 break
             drop, predicted, imbalance = state.add_neuron(intercept=True)
             aborted = True
-        val_pred += units_forward(state.rows(t - 1, t), val_features)
         # A lone unit has nothing to replace, so an intercept unit stays.
-        before = state.rows(0, cfg.replace_cap)
         replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
-        if replacements:
-            imbalance = max(imbalance, repl_imbalance)
-            val_pred += units_forward(state.rows(0, replacements), val_features)
-            val_pred -= units_forward(tuple(a[:replacements] for a in before), val_features)
-
-        val_mse = squared_error_sums(val_pred, val_t)[0] / val_t.shape[0]
+        val_mse = state.val_mse()
         # LayerParams copies, so later replacements leave this network alone.
         grown = LayerParams(state.W, state.b)
         network = BannModel(SIGN, kept + (grown,), LayerParams(state.C, state.D.sum(axis=0)))
@@ -378,7 +372,7 @@ def build_layer(
                     replacements=replacements,
                     lambda_used=state.current_lambda,
                     nnz=count_nonzero_parameters(network),
-                    side_imbalance=imbalance,
+                    side_imbalance=max(imbalance, repl_imbalance),
                 )
             )
 

@@ -521,6 +521,25 @@ def test_evaluate_model_with_huge_integer_is_data_error(tmp_path, place):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("place", ["version", "bias"])
+def test_evaluate_model_with_boolean_is_data_error(tmp_path, place):
+    sq = tmp_path / "sq.json"
+    assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+    doc = json.loads(sq.read_text(encoding="utf-8"))
+    if place == "version":
+        doc["version"] = True
+    else:
+        doc["output"]["biases"][0] = False
+    sq.write_text(json.dumps(doc), encoding="utf-8")
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    proc = run_cli_process(["evaluate", "--model", str(sq), "--data", str(data),
+                            "--labels", "1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exits_three():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])

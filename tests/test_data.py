@@ -202,6 +202,11 @@ CSV_CASES = {
     "CR blank line": ("a,y\r1,2\r\r3,4\r", "line 3 has 0 cells, expected 2"),
     "header with a quoted line break": ('"a\nb",y\n1,2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
     "blank first data line": ("a,y\n\n1,2\n", "line 2 has 0 cells, expected 2"),
+    # A row is named by the line it starts on, counting quoted line breaks.
+    "empty cell after a header line break": ('"a\nb",y\n1,2\n,4\n',
+                                              "line 4, column 'a\\nb': empty cell"),
+    "empty cell after a row line break": ('a,y\n"1\n",2\n,4\n', "line 4, column 'a': empty cell"),
+    "short row after a row line break": ('a,y\n"1\n",2\n3\n', "line 4 has 1 cells, expected 2"),
 }
 
 

@@ -409,6 +409,31 @@ def test_loader_rejects_non_finite_activation(tmp_path, key, value):
         load_model(str(path))
 
 
+# float() takes true and false as 1 and 0, and 1.0 == 1, so each of these
+# would load as a valid model if the loader only converted values.
+NOT_A_NUMBER = {
+    "version true": (("version",), True),
+    "version 1.0": (("version",), 1.0),
+    "activation false": (("activation", "t"), False),
+    "weight true": (("hidden", 0, "weights", 0, 0), True),
+    "bias false": (("output", "biases", 0), False),
+}
+
+
+@pytest.mark.parametrize("keys,value", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+def test_loader_rejects_booleans_and_a_float_version(tmp_path, keys, value):
+    one = LayerParams(np.ones((1, 1)), np.zeros(1))
+    doc = model_to_dict(BannModel(SIGN, (one,), one))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
 def test_loader_rejects_malformed_document(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, "hidden": []}))

@@ -66,3 +66,8 @@ def test_workload_cycle_passes_every_check(tmp_path, name):
         assert depths == {"cli.evaluate": [1, 2, 3], "cli.bounds": [1, 2, 3]}
     else:
         assert metrics["cli.train_s"] > 0
+        # The runner reports a metric nothing recorded as 0, so training that
+        # calls around one of the wrapped names would zero it silently.
+        traced = ["train.units_forward_s", "train.replace_s", "train.bias_scan_s",
+                  "train.coeff_s", "solvers.lasso_s"]
+        assert [n for n in traced if not metrics.get(f"{n}.L1", 0) > 0] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -39,6 +40,11 @@ def unit_side(features, w, b):
 def state_units(state):
     """The grown units of a LayerState as a list of (w, b, c, d), one per unit."""
     return [(state.W[k], state.b[k], state.C[:, k], state.D[k]) for k in range(len(state.b))]
+
+
+def state_arrays(state):
+    """Everything a unit change may write: residuals, units, validation prediction."""
+    return state.residuals, state.W, state.b, state.C, state.D, state.val_pred
 
 
 def units_prediction(units, features):
@@ -204,13 +210,19 @@ def test_compute_cd_matches_least_squares_oracle():
             assert abs(d[j] - coef[1]) <= 1e-9
 
 
+def layer_state(features, targets, seed_lambda=1e5):
+    """A LayerState that validates on its own training rows."""
+    return LayerState(features, targets, features, targets, LassoConfig(), seed_lambda)
+
+
 def test_fit_hyperplane_separates_constant_clusters():
     rng = np.random.default_rng(2)
     left = rng.normal(size=(20, 2)) * 0.1
     right = rng.normal(size=(20, 2)) * 0.1 + np.array([5.0, 0.0])
     features = np.vstack([left, right])
     residuals = np.concatenate([np.zeros(20), np.full(20, 10.0)])[:, None]
-    w, b = LayerState(features, residuals, LassoConfig(), 1e5).fit_hyperplane()
+    state = layer_state(features, residuals)
+    w, b = state.fit_hyperplane(state.residuals)
     side = unit_side(features, w, b)
     assert len(set(side[:20])) == 1 and len(set(side[20:])) == 1
     assert side[0] != side[-1]
@@ -221,10 +233,10 @@ def test_fit_hyperplane_duplicated_outputs_match_univariate():
     rng = np.random.default_rng(3)
     features = rng.normal(size=(30, 3))
     col = rng.normal(size=(30, 1))
-    one = LayerState(features, col, LassoConfig(), 1e5)
-    two = LayerState(features, np.hstack([col, col]), LassoConfig(), 1e5)
-    w1, b1 = one.fit_hyperplane()
-    w2, b2 = two.fit_hyperplane()
+    one = layer_state(features, col)
+    two = layer_state(features, np.hstack([col, col]))
+    w1, b1 = one.fit_hyperplane(one.residuals)
+    w2, b2 = two.fit_hyperplane(two.residuals)
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
     assert b1 == pytest.approx(b2, rel=1e-10)
     assert one.current_lambda == two.current_lambda
@@ -238,8 +250,8 @@ def test_multivariate_fit_on_row_mean_matches_tiled_design():
     residuals = features[:, :3] @ rng.normal(size=(3, 3)) + rng.normal(size=(300, 3))
     tiled = StandardizedDesign(np.tile(features, (3, 1)))
     for seed_lambda in (1e5, 0.3, 0.01):
-        state = LayerState(features, residuals, LassoConfig(), seed_lambda)
-        w, _ = state.fit_hyperplane()
+        state = layer_state(features, residuals, seed_lambda)
+        w, _ = state.fit_hyperplane(state.residuals)
         want = scheduled_lasso_fit(tiled, residuals.T.reshape(-1), LassoConfig(), seed_lambda)
         assert state.design.n == 300
         assert state.current_lambda == want.used_lambda
@@ -247,21 +259,17 @@ def test_multivariate_fit_on_row_mean_matches_tiled_design():
 
 
 def test_fit_hyperplane_zero_residuals_signal():
-    state = LayerState(np.random.default_rng(4).normal(size=(10, 2)),
-                       np.zeros((10, 1)), LassoConfig(), 1e5)
+    state = layer_state(np.random.default_rng(4).normal(size=(10, 2)), np.zeros((10, 1)))
     with pytest.raises(ZeroWeightVector):
-        state.fit_hyperplane()
-
-
-def layer_state(features, targets, seed_lambda=1e5):
-    return LayerState(features, targets, LassoConfig(), seed_lambda)
+        state.fit_hyperplane(state.residuals)
 
 
 def test_fit_hyperplane_raises_on_non_converged_solve(monkeypatch):
     rng = np.random.default_rng(40)
     features = rng.normal(size=(200, 3))
     targets = 3.0 * features[:, 0] + 3.0 * features[:, 1] + 0.1 * rng.normal(size=200)
-    w, _ = LayerState(features, targets, LassoConfig(), 1e5).fit_hyperplane()
+    state = layer_state(features, targets)
+    w, _ = state.fit_hyperplane(state.residuals)
     assert np.count_nonzero(w) >= 2
     monkeypatch.setattr(LassoConfig, "max_steps", 1)
     cfg = TrainConfig(max_hidden_layers=1, patience=500)
@@ -328,12 +336,13 @@ def test_add_neuron_refuses_a_unit_that_raises_the_error(monkeypatch):
     rng = np.random.default_rng(24)
     state = layer_state(rng.normal(size=(30, 2)), rng.normal(size=(30, 1)))
     state.add_neuron()
-    before = state.residuals.copy()
+    before = state.residuals.copy(), state.val_pred.copy()
     # coefficients that shift every residual away from its zero mean
     monkeypatch.setattr("bannet.train.compute_cd", lambda r, side: (np.zeros(1), np.ones(1)))
     with pytest.raises(ZeroWeightVector):
         state.add_neuron()
-    assert np.array_equal(state.residuals, before)
+    assert np.array_equal(state.residuals, before[0])
+    assert np.array_equal(state.val_pred, before[1])
     assert len(state.b) == 1
 
 
@@ -356,17 +365,35 @@ def test_replace_pass_rejects_fixed_point_and_restores(monkeypatch):
     state.b = np.append(state.b, -0.5)
     state.C = np.hstack([state.C, np.zeros((1, 1))])
     state.D = np.vstack([state.D, np.zeros(1)])
-    before = state.residuals.copy()
-    units = [a.copy() for a in (state.W, state.b, state.C, state.D)]
+    units = [a.copy() for a in state_arrays(state)]
     # A rejected refit leaves every unit bit for bit as it was, also when the
     # refit's coefficients differ from the unit's: these shift every residual.
     for cd in (compute_cd, lambda r, side: (np.zeros(1), np.ones(1))):
         monkeypatch.setattr("bannet.train.compute_cd", cd)
         accepted, _ = state.replace_pass(10)
         assert accepted == 0
-        assert np.array_equal(state.residuals, before)
-        for got, want in zip((state.W, state.b, state.C, state.D), units):
+        for got, want in zip(state_arrays(state), units):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_replace_pass_solver_error_changes_no_unit(monkeypatch):
+    # A solve that fails while unit 0 is refitted, with its output added back
+    # to the residuals, leaves the residuals, the units and the validation
+    # prediction bit for bit as they were.
+    rng = np.random.default_rng(25)
+    state = layer_state(rng.normal(size=(60, 3)), rng.normal(size=(60, 2)))
+    for _ in range(4):
+        state.add_neuron()
+    before = [a.copy() for a in state_arrays(state)]
+
+    def failing(*args):
+        return dataclasses.replace(scheduled_lasso_fit(*args), converged=False)
+
+    monkeypatch.setattr("bannet.train.scheduled_lasso_fit", failing)
+    with pytest.raises(SolverError):
+        state.replace_pass(10)
+    for got, want in zip(state_arrays(state), before):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_replace_pass_improves_suboptimal_greedy_order():
@@ -578,7 +605,7 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
     scored = None
     for layer in (1, 2):
         rows = [r for r in growth if r.layer == layer]
-        state = LayerState(features, train.labels, cfg.lasso, lam)
+        state = LayerState(features, train.labels, features, train.labels, cfg.lasso, lam)
         for r in rows:
             state.add_neuron()
             grown, head_w, head_b = pack_units(state_units(state))
