@@ -301,9 +301,10 @@ def model_to_dict(model: BannModel) -> dict:
 
 
 def _numbers(value):
-    """``value`` itself, refused if it holds a JSON true or false."""
-    if any(isinstance(v, bool) for v in np.array(value, dtype=object).flat):
-        raise TypeError("true or false where a number belongs")
+    """``value`` itself, refused unless its every entry is a JSON number:
+    float() and numpy take a string, true or false as a number, null as NaN."""
+    if any(type(v) not in (int, float) for v in np.array(value, dtype=object).flat):
+        raise TypeError("a value that is not a JSON number where a number belongs")
     return value
 
 

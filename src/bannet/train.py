@@ -90,9 +90,9 @@ class TrainReport:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
-def optimal_bias(w: np.ndarray, features: np.ndarray, residuals: np.ndarray) -> float:
+def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
     """Exact search for the bias minimizing the weighted per-side residual
-    variance, over the splits of the rows sorted by their projection onto w.
+    variance, over the splits of the rows sorted by their projection proj.
 
     A split with k rows summing to s on the negative side (total T) leaves
     per-side variances of sum r^2 - gain, gain = s^2/k + (T-s)^2/(m-k), or
@@ -100,16 +100,13 @@ def optimal_bias(w: np.ndarray, features: np.ndarray, residuals: np.ndarray) -> 
     over outputs from one prefix sum, O(dl * m) after numpy's default
     (unstable) argsort. Equal projections are never split, so the order
     within a tie only changes the rounding of the sums. Among equal gains
-    the first split wins, starting from the empty negative side; the bias
-    lands midway between the projections flanking the split, or 1 below
-    the smallest. The residuals are divided by 2^e, e the binary exponent
-    of their largest magnitude: exact at ordinary scales, and no square
-    overflows or underflows.
+    the first split wins, starting from the empty negative side. The
+    threshold lies 1 below the smallest projection, or midway between the
+    projections lo < hi flanking the split, or at hi where the midpoint
+    rounds onto lo, so lo's row stays negative. The residuals are divided
+    by 2^e, e the binary exponent of their largest magnitude: exact at
+    ordinary scales, and no square overflows or underflows.
     """
-    w = np.asarray(w, dtype=float)
-    if not np.any(w != 0.0):
-        raise ZeroWeightVector("cannot place a hyperplane from an all-zero normal")
-    proj = features @ w
     order = np.argsort(proj)
     sp = proj[order]
     r = np.take(np.atleast_2d(residuals.T), order, axis=1)  # (dl, m), sorted rows
@@ -130,7 +127,10 @@ def optimal_bias(w: np.ndarray, features: np.ndarray, residuals: np.ndarray) -> 
     gain[1:][sp[:-1] == sp[1:]] = -math.inf
 
     best = int(np.argmax(gain))
-    return float(-(sp[0] - 1.0) if best == 0 else -(sp[best - 1] + sp[best]) / 2.0)
+    if best == 0:
+        return float(-(sp[0] - 1.0))
+    mid = (sp[best - 1] + sp[best]) / 2.0
+    return float(-(mid if mid > sp[best - 1] else sp[best]))
 
 
 def _side_sums(r: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +180,7 @@ class LayerState:
 
     ``residuals`` is output-major, (dl, m) in C order, so per-output passes
     read contiguous rows; optimal_bias and compute_cd take its transpose.
+    ``train_mse`` is their mean square, set whenever they are replaced.
 
     The grown units live in place in four arrays, unit k at index k of each:
     ``W`` (units x p) holds one hyperplane normal per row, ``b`` one bias per
@@ -204,6 +205,7 @@ class LayerState:
         self.features = np.asarray(features, dtype=float)
         self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
         self.m = self.residuals.shape[1]
+        self.train_mse = float(self.residuals.ravel() @ self.residuals.ravel() / self.m)
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
@@ -215,17 +217,13 @@ class LayerState:
         self.val_targets = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
         self.val_pred = np.zeros_like(self.val_targets.T, order="C")
 
-    def train_mse(self) -> float:
-        flat = self.residuals.ravel()
-        return float(flat @ flat / self.m)
-
     def val_mse(self) -> float:
         return squared_error_sums(self.val_pred.T, self.val_targets)[0] / self.val_targets.shape[0]
 
-    def fit_hyperplane(self, residuals: np.ndarray) -> tuple[np.ndarray, float]:
-        """Sparse fit to (dl, m) residuals for the normal direction, then the
-        exact split search for the bias. Advances the penalty schedule.
-        Raises SolverError when the lasso solve hits its step cap."""
+    def fit_hyperplane(self, residuals: np.ndarray) -> np.ndarray:
+        """Sparse fit to (dl, m) residuals for the unit's normal only; advances
+        the penalty schedule. Raises SolverError when the lasso solve hits its
+        step cap, ZeroWeightVector when the schedule ends at the zero normal."""
         sched = scheduled_lasso_fit(
             self.design, residuals.mean(axis=0), self.lasso_cfg, self.current_lambda
         )
@@ -237,7 +235,7 @@ class LayerState:
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
             raise ZeroWeightVector("penalty schedule exhausted with all-zero weights")
-        return sched.w, optimal_bias(sched.w, self.features, residuals.T)
+        return sched.w
 
     def _side_imbalance(self, side: np.ndarray) -> float:
         n_pos = int(np.count_nonzero(side > 0))
@@ -245,31 +243,31 @@ class LayerState:
         return max(float(np.max(np.abs(s))) for s, n in sides if n)
 
     def _fit_unit(self, residuals: np.ndarray, intercept: bool = False) -> tuple:
-        """Fit a unit to (dl, m) residuals; returns (w, b, c, d), row sides, leftover, its mse."""
-        if intercept:
-            w, b = np.zeros(self.features.shape[1]), 1.0
-        else:
-            w, b = self.fit_hyperplane(residuals)
-        side = activate(self.features @ w + b, SIGN)
+        """Fit a unit to (dl, m) residuals from one projection onto its normal, zero
+        for an intercept unit; returns (w, b, c, d), row sides, leftover, its mse."""
+        w = np.zeros(self.features.shape[1]) if intercept else self.fit_hyperplane(residuals)
+        proj = self.features @ w
+        b = optimal_bias(proj, residuals.T)
+        side = activate(proj + b, SIGN)
         c, d = compute_cd(residuals.T, side)
         left = np.outer(c, side)
         left += d[:, None]
         np.subtract(residuals, left, out=left)
-        flat = left.ravel()
-        return (w, b, c, d), side, left, float(flat @ flat / self.m)
+        return (w, b, c, d), side, left, float(left.ravel() @ left.ravel() / self.m)
 
     def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
         residual side imbalance after the update). An intercept unit, for
-        when no hyperplane can be oriented, has w = 0 and b = 1: every row
-        is on the positive side and d absorbs the residual means. A fitted
-        unit that would raise the training error, its gain lost in round-off,
-        is not kept: ZeroWeightVector, with residuals and units as before."""
-        pre = self.train_mse()
+        when no hyperplane can be oriented, has the zero normal: the scan
+        finds no split and gives b = 1, every row is on the positive side and
+        d absorbs the residual means. A fitted unit that would raise the
+        training error, its gain lost in round-off, is not kept:
+        ZeroWeightVector, with residuals and units as before."""
+        pre = self.train_mse
         (w, b, c, d), side, left, post = self._fit_unit(self.residuals, intercept)
         if post > pre and not intercept:
             raise ZeroWeightVector("no hyperplane lowers the training error")
-        self.residuals = left
+        self.residuals, self.train_mse = left, post
         self.W = np.vstack([self.W, w])
         self.b = np.append(self.b, b)
         self.C = np.hstack([self.C, c[:, None]])
@@ -294,9 +292,9 @@ class LayerState:
                 unit, side, left, post = self._fit_unit(residuals)
             except ZeroWeightVector:
                 break
-            if not post < self.train_mse():
+            if not post < self.train_mse:
                 break
-            self.residuals = left
+            self.residuals, self.train_mse = left, post
             self.W[k], self.b[k], self.C[:, k], self.D[k] = unit
             kept.append(unit)
             replaced.append(old)
@@ -365,7 +363,7 @@ def build_layer(
                 IterationRecord(
                     layer=layer_index,
                     t=t,
-                    train_mse=state.train_mse(),
+                    train_mse=state.train_mse,
                     val_mse=val_mse,
                     drop=drop,
                     predicted_drop=predicted,

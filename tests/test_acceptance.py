@@ -92,7 +92,7 @@ def test_criterion_2_split_and_coefficient_oracles():
         features = rng.normal(size=(m, d))
         residuals = rng.normal(size=(m, dl))
         w = rng.normal(size=d)
-        b = optimal_bias(w, features, residuals)
+        b = optimal_bias(features @ w, residuals)
         _, oracle_obj = brute_force_best_split(w, features, residuals)
         scale = 1.0 + abs(oracle_obj)
         realized = split_objective(features @ w, residuals, b)

@@ -80,6 +80,21 @@ def test_train_multivariate_labels_by_name(tmp_path):
     assert model.in_width == 2 and model.out_width == 2
 
 
+def test_train_splits_projections_one_ulp_apart(tmp_path):
+    # The feature's two values are adjacent doubles, so the unit's two
+    # projections are too, and their midpoint rounds onto the lower one; the
+    # bias must still put the lower rows on the negative side.
+    data = tmp_path / "ulp.csv"
+    rows = ["x,y"] + ["0.3,0" if i % 2 == 0 else "0.30000000000000004,10" for i in range(200)]
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--labels", "1", "--max-layers", "1",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["train_mse"] == 0.0 and summary["test_mse"] == 0.0
+
+
 def test_manifest_rerun_reproduces_bytes(tmp_path):
     data = tmp_path / "d.csv"
     write_dataset(data, seed=5)
@@ -538,6 +553,26 @@ def test_evaluate_model_with_boolean_is_data_error(tmp_path, place):
     assert proc.returncode == 2
     assert proc.stderr.startswith("data error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("place,value", [("t", "0"), ("weight", "1.5"), ("bias", "2"),
+                                         ("bias", None)])
+def test_evaluate_model_with_string_or_null_number_is_data_error(tmp_path, capsys, place, value):
+    sq = tmp_path / "sq.json"
+    assert main(["demo", "square", "--r", "3", "--out", str(sq)]) == 0
+    doc = json.loads(sq.read_text(encoding="utf-8"))
+    if place == "t":
+        doc["activation"]["t"] = value
+    elif place == "weight":
+        doc["hidden"][0]["weights"][0][0] = value
+    else:
+        doc["hidden"][0]["biases"][0] = value
+    sq.write_text(json.dumps(doc), encoding="utf-8")
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(sq), "--data", str(data), "--labels", "1"]) == 2
+    assert capsys.readouterr().err.startswith("data error: malformed model document")
 
 
 def test_usage_error_exits_three():

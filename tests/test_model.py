@@ -409,14 +409,20 @@ def test_loader_rejects_non_finite_activation(tmp_path, key, value):
         load_model(str(path))
 
 
-# float() takes true and false as 1 and 0, and 1.0 == 1, so each of these
-# would load as a valid model if the loader only converted values.
+# float() takes true and false as 1 and 0 and numeric strings as numbers,
+# numpy turns null into NaN, and 1.0 == 1, so each of these would load as a
+# valid model, or fail only later as a non-finite value, if the loader only
+# converted values.
 NOT_A_NUMBER = {
     "version true": (("version",), True),
     "version 1.0": (("version",), 1.0),
     "activation false": (("activation", "t"), False),
     "weight true": (("hidden", 0, "weights", 0, 0), True),
     "bias false": (("output", "biases", 0), False),
+    "activation string": (("activation", "t"), "0"),
+    "weight string": (("hidden", 0, "weights", 0, 0), "1.5"),
+    "bias string": (("output", "biases", 0), "2"),
+    "bias null": (("hidden", 0, "biases", 0), None),
 }
 
 

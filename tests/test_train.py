@@ -97,7 +97,7 @@ def brute_force_best_split(w, features, residuals):
 def test_optimal_bias_hand_example():
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
     residuals = np.array([[0.0], [0.0], [10.0], [10.0]])
-    b = optimal_bias(np.array([1.0]), features, residuals)
+    b = optimal_bias(features @ np.array([1.0]), residuals)
     assert b == pytest.approx(-1.5)
     assert split_objective(features[:, 0], residuals, b) == pytest.approx(0.0, abs=1e-12)
 
@@ -105,7 +105,7 @@ def test_optimal_bias_hand_example():
 def test_optimal_bias_constant_residuals_tie_break():
     features = np.array([[0.0], [1.0], [2.0]])
     residuals = np.full((3, 1), 4.0)
-    b = optimal_bias(np.array([1.0]), features, residuals)
+    b = optimal_bias(features @ np.array([1.0]), residuals)
     # every split scores Var(r) = 0; first in scan order leaves the negative side empty
     assert b == pytest.approx(-(0.0 - 1.0))
     assert split_objective(features[:, 0], residuals, b) == pytest.approx(0.0, abs=1e-12)
@@ -120,7 +120,7 @@ def test_optimal_bias_matches_exhaustive_enumeration():
         features = rng.normal(size=(m, d))
         residuals = rng.normal(size=(m, dl))
         w = rng.normal(size=d)
-        b = optimal_bias(w, features, residuals)
+        b = optimal_bias(features @ w, residuals)
         oracle_b, oracle_obj = brute_force_best_split(w, features, residuals)
         scale = 1.0 + abs(oracle_obj)
         # the returned bias actually realizes the optimal objective
@@ -129,9 +129,27 @@ def test_optimal_bias_matches_exhaustive_enumeration():
         assert abs(realized - oracle_obj) <= 1e-9 * scale
 
 
-def test_optimal_bias_rejects_zero_normal():
-    with pytest.raises(ZeroWeightVector):
-        optimal_bias(np.zeros(3), np.ones((4, 3)), np.ones((4, 1)))
+def test_optimal_bias_constant_projection_puts_every_row_positive():
+    # A constant projection, such as the zero normal's, has no split: the
+    # threshold lies 1 below the projection and every row is on the positive side.
+    residuals = np.random.default_rng(26).normal(size=(4, 2))
+    for value in (0.0, -2.5, 7.0):
+        proj = np.full(4, value)
+        b = optimal_bias(proj, residuals)
+        assert b == -(value - 1.0)
+        assert np.all(proj + b >= 0)
+
+
+@pytest.mark.parametrize("lo", [-1.0, 0.0, 0.1, 1.0, 3.0, 2.0**53, 1e300])
+def test_optimal_bias_realizes_split_between_adjacent_projections(lo):
+    # The midpoint of two adjacent doubles can round onto the lower one; the
+    # bias must still put that row on the negative side.
+    hi = np.nextafter(lo, math.inf)
+    proj = np.array([lo, hi, np.nextafter(hi, math.inf)])
+    residuals = np.array([[0.0], [10.0], [10.0]])
+    b = optimal_bias(proj, residuals)
+    assert np.array_equal(unit_side(proj[:, None], np.ones(1), b), [-1.0, 1.0, 1.0])
+    assert split_objective(proj, residuals, b) == 0.0
 
 
 @st.composite
@@ -156,8 +174,8 @@ def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
     w, features, residuals = problem
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = optimal_bias(w, features, residuals)
-        scaled_b = optimal_bias(w, features, np.ldexp(residuals, k))
+        b = optimal_bias(features @ w, residuals)
+        scaled_b = optimal_bias(features @ w, np.ldexp(residuals, k))
     assert scaled_b == b
 
 
@@ -165,8 +183,8 @@ def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
 def test_optimal_bias_invariant_under_row_permutation_of_tied_designs(problem, data):
     w, features, residuals = problem
     perm = np.array(data.draw(st.permutations(range(len(features)))), dtype=int)
-    b = optimal_bias(w, features, residuals)
-    assert optimal_bias(w, features[perm], residuals[perm]) == b
+    b = optimal_bias(features @ w, residuals)
+    assert optimal_bias(features[perm] @ w, residuals[perm]) == b
     # Integer residuals tie often, so the oracle may pick another split of
     # equal objective; its objective is what must match.
     _, oracle_obj = brute_force_best_split(w, features, residuals)
@@ -222,7 +240,8 @@ def test_fit_hyperplane_separates_constant_clusters():
     features = np.vstack([left, right])
     residuals = np.concatenate([np.zeros(20), np.full(20, 10.0)])[:, None]
     state = layer_state(features, residuals)
-    w, b = state.fit_hyperplane(state.residuals)
+    w = state.fit_hyperplane(state.residuals)
+    b = optimal_bias(features @ w, state.residuals.T)
     side = unit_side(features, w, b)
     assert len(set(side[:20])) == 1 and len(set(side[20:])) == 1
     assert side[0] != side[-1]
@@ -235,8 +254,9 @@ def test_fit_hyperplane_duplicated_outputs_match_univariate():
     col = rng.normal(size=(30, 1))
     one = layer_state(features, col)
     two = layer_state(features, np.hstack([col, col]))
-    w1, b1 = one.fit_hyperplane(one.residuals)
-    w2, b2 = two.fit_hyperplane(two.residuals)
+    w1, w2 = one.fit_hyperplane(one.residuals), two.fit_hyperplane(two.residuals)
+    b1 = optimal_bias(features @ w1, one.residuals.T)
+    b2 = optimal_bias(features @ w2, two.residuals.T)
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
     assert b1 == pytest.approx(b2, rel=1e-10)
     assert one.current_lambda == two.current_lambda
@@ -251,7 +271,7 @@ def test_multivariate_fit_on_row_mean_matches_tiled_design():
     tiled = StandardizedDesign(np.tile(features, (3, 1)))
     for seed_lambda in (1e5, 0.3, 0.01):
         state = layer_state(features, residuals, seed_lambda)
-        w, _ = state.fit_hyperplane(state.residuals)
+        w = state.fit_hyperplane(state.residuals)
         want = scheduled_lasso_fit(tiled, residuals.T.reshape(-1), LassoConfig(), seed_lambda)
         assert state.design.n == 300
         assert state.current_lambda == want.used_lambda
@@ -269,7 +289,7 @@ def test_fit_hyperplane_raises_on_non_converged_solve(monkeypatch):
     features = rng.normal(size=(200, 3))
     targets = 3.0 * features[:, 0] + 3.0 * features[:, 1] + 0.1 * rng.normal(size=200)
     state = layer_state(features, targets)
-    w, _ = state.fit_hyperplane(state.residuals)
+    w = state.fit_hyperplane(state.residuals)
     assert np.count_nonzero(w) >= 2
     monkeypatch.setattr(LassoConfig, "max_steps", 1)
     cfg = TrainConfig(max_hidden_layers=1, patience=500)
@@ -300,7 +320,7 @@ def test_add_neuron_drop_matches_presplit_identity():
                 if mask.any():
                     expected += col[mask].sum() ** 2 / mask.sum()
         expected /= m
-        realized = float(np.sum(pre * pre) / m) - state.train_mse()
+        realized = float(np.sum(pre * pre) / m) - state.train_mse
         assert realized == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -309,10 +329,10 @@ def test_add_neuron_drop_equals_cd_identity_from_second_unit():
     state = layer_state(rng.normal(size=(60, 4)), rng.normal(size=(60, 2)))
     state.add_neuron()
     for _ in range(5):
-        pre = state.train_mse()
+        pre = state.train_mse
         drop, predicted, _ = state.add_neuron()
         assert drop == pytest.approx(predicted, rel=1e-9, abs=1e-12)
-        assert state.train_mse() < pre
+        assert state.train_mse < pre
 
 
 def test_side_imbalance_matches_masked_sums():
@@ -346,6 +366,41 @@ def test_add_neuron_refuses_a_unit_that_raises_the_error(monkeypatch):
     assert len(state.b) == 1
 
 
+def test_add_neuron_intercept_unit_is_the_zero_normal():
+    rng = np.random.default_rng(27)
+    state = layer_state(rng.normal(size=(30, 3)), rng.normal(size=(30, 2)))
+    pre = state.residuals.copy()
+    state.add_neuron(intercept=True)
+    assert np.array_equal(state.W, np.zeros((1, 3))) and state.b[0] == 1.0
+    assert np.array_equal(state.C, np.zeros((2, 1)))
+    assert np.array_equal(state.D[0], pre.mean(axis=1))
+    flat = state.residuals.ravel()
+    assert state.train_mse == float(flat @ flat / 30)
+
+
+def test_train_mse_tracks_residuals_through_kept_and_rejected_replacements():
+    rng = np.random.default_rng(28)
+    x = np.sort(rng.uniform(0, 1, 80))[:, None]
+    y = np.where(x < 0.31, 0.0, np.where(x < 0.67, 6.0, 1.0)) + 0.05 * rng.normal(size=(80, 1))
+    state = layer_state(x, y)
+
+    def assert_tracked():
+        flat = state.residuals.ravel()
+        assert state.train_mse == float(flat @ flat / state.m)
+
+    assert_tracked()
+    kept = rejected = 0
+    for _ in range(6):
+        state.add_neuron()
+        assert_tracked()
+        attempts = min(len(state.b) - 1, 10)
+        accepted, _ = state.replace_pass(10)
+        assert_tracked()
+        kept += accepted
+        rejected += accepted < attempts
+    assert kept >= 1 and rejected >= 1
+
+
 def test_replace_pass_noop_with_single_unit():
     rng = np.random.default_rng(8)
     state = layer_state(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)))
@@ -360,7 +415,7 @@ def test_replace_pass_rejects_fixed_point_and_restores(monkeypatch):
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
     state = layer_state(features, np.array([[0.0], [0.0], [8.0], [8.0]]))
     state.add_neuron()
-    assert state.train_mse() == pytest.approx(0.0, abs=1e-20)
+    assert state.train_mse == pytest.approx(0.0, abs=1e-20)
     state.W = np.vstack([state.W, [1.0]])
     state.b = np.append(state.b, -0.5)
     state.C = np.hstack([state.C, np.zeros((1, 1))])
@@ -405,9 +460,9 @@ def test_replace_pass_improves_suboptimal_greedy_order():
         state = layer_state(x, y)
         for _ in range(3):
             state.add_neuron()
-        before = state.train_mse()
+        before = state.train_mse
         state.replace_pass(10)
-        after = state.train_mse()
+        after = state.train_mse
         assert after <= before + 1e-15
         if after < before - 1e-12 * max(1.0, before):
             improved += 1
