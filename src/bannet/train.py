@@ -102,10 +102,11 @@ def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
     within a tie only changes the rounding of the sums. Among equal gains
     the first split wins, starting from the empty negative side. The
     threshold lies 1 below the smallest projection, or midway between the
-    projections lo < hi flanking the split, or at hi where the midpoint
-    rounds onto lo, so lo's row stays negative. The residuals are divided
-    by 2^e, e the binary exponent of their largest magnitude: exact at
-    ordinary scales, and no square overflows or underflows.
+    projections lo < hi flanking the split (lo/2 + hi/2, which cannot
+    overflow), or at hi where the midpoint rounds onto lo, so lo's row stays
+    negative. The residuals are divided by 2^e, e the binary exponent of
+    their largest magnitude: exact at ordinary scales, and no square
+    overflows or underflows.
     """
     order = np.argsort(proj)
     sp = proj[order]
@@ -129,7 +130,7 @@ def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
     best = int(np.argmax(gain))
     if best == 0:
         return float(-(sp[0] - 1.0))
-    mid = (sp[best - 1] + sp[best]) / 2.0
+    mid = sp[best - 1] / 2.0 + sp[best] / 2.0
     return float(-(mid if mid > sp[best - 1] else sp[best]))
 
 
@@ -157,14 +158,12 @@ def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
 
 
-def units_forward(units: list[tuple], features: np.ndarray) -> np.ndarray:
-    """Output-major (dl, rows) sum_t c_t * side_t(x) + d_t of units given as (w, b, c, d)."""
-    pred = np.zeros((len(units[0][3]), features.shape[0]))
-    for w, b, c, d in units:
-        step = np.outer(c, activate(features @ w + b, SIGN))
-        step += d[:, None]
-        pred += step
-    return pred
+def units_forward(unit: tuple, features: np.ndarray) -> np.ndarray:
+    """Output-major (dl, rows) c * side(x) + d of one unit given as (w, b, c, d)."""
+    w, b, c, d = unit
+    out = np.outer(c, activate(features @ w + b, SIGN))
+    out += d[:, None]
+    return out
 
 
 class LayerState:
@@ -190,7 +189,8 @@ class LayerState:
     time, so it rounds the same however the units came about. A unit fit
     changes nothing but the penalty schedule; an addition appends its unit,
     a kept replacement overwrites unit k, and ``val_pred``, the output-major
-    prediction on the validation rows, follows the kept units.
+    prediction on the validation rows, follows every kept change at once, so
+    residuals, units and ``val_pred`` agree after each one.
     """
 
     def __init__(
@@ -272,7 +272,7 @@ class LayerState:
         self.b = np.append(self.b, b)
         self.C = np.hstack([self.C, c[:, None]])
         self.D = np.vstack([self.D, d])
-        self.val_pred += units_forward([(w, b, c, d)], self.val_features)
+        self.val_pred += units_forward((w, b, c, d), self.val_features)
         return pre - post, float(np.sum(c * c - d * d)), self._side_imbalance(side)
 
     def replace_pass(self, cap: int) -> tuple[int, float]:
@@ -280,13 +280,13 @@ class LayerState:
         residuals with its own output added back. A refit is kept only if
         the training error strictly decreases; the first non-improving
         attempt leaves unit k as it was and ends the pass. At most
-        min(t-1, cap) attempts. The validation prediction then gains the
-        kept units' output and loses the output of the units they replaced."""
-        kept, replaced = [], []
-        worst_imbalance = 0.0
+        min(t-1, cap) attempts. A kept refit moves the validation prediction
+        at once, from unit k's output to the refit's."""
+        accepted, worst_imbalance = 0, 0.0
         for k in range(min(len(self.b) - 1, cap)):
-            old = (self.W[k].copy(), self.b[k], self.C[:, k].copy(), self.D[k].copy())
-            residuals = units_forward([old], self.features)
+            # Views of unit k: read them before unit k is overwritten.
+            old = (self.W[k], self.b[k], self.C[:, k], self.D[k])
+            residuals = units_forward(old, self.features)
             residuals += self.residuals
             try:
                 unit, side, left, post = self._fit_unit(residuals)
@@ -294,15 +294,13 @@ class LayerState:
                 break
             if not post < self.train_mse:
                 break
+            self.val_pred -= units_forward(old, self.val_features)
             self.residuals, self.train_mse = left, post
             self.W[k], self.b[k], self.C[:, k], self.D[k] = unit
-            kept.append(unit)
-            replaced.append(old)
+            self.val_pred += units_forward(unit, self.val_features)
+            accepted += 1
             worst_imbalance = max(worst_imbalance, self._side_imbalance(side))
-        if kept:
-            self.val_pred += units_forward(kept, self.val_features)
-            self.val_pred -= units_forward(replaced, self.val_features)
-        return len(kept), worst_imbalance
+        return accepted, worst_imbalance
 
 
 @dataclass

@@ -152,6 +152,16 @@ def test_optimal_bias_realizes_split_between_adjacent_projections(lo):
     assert split_objective(proj, residuals, b) == 0.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_optimal_bias_midpoint_does_not_overflow_near_double_range(sign):
+    # lo + hi overflows for the flanking projections; the threshold must not.
+    proj = np.sort(sign * np.array([1e308, 1.5e308, 1.7e308]))
+    residuals = np.array([[0.0], [10.0], [10.0]])
+    b = optimal_bias(proj, residuals)
+    assert math.isfinite(b)
+    assert np.array_equal(unit_side(proj[:, None], np.ones(1), b), [-1.0, 1.0, 1.0])
+
+
 @st.composite
 def split_problems(draw, unit_design=False):
     """A normal w, features and residuals for one split search. A unit design
@@ -449,6 +459,39 @@ def test_replace_pass_solver_error_changes_no_unit(monkeypatch):
         state.replace_pass(10)
     for got, want in zip(state_arrays(state), before):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_replace_pass_solver_error_after_kept_refit_leaves_state_consistent(monkeypatch):
+    # The first refit is kept and the second solve fails: residuals and the
+    # validation prediction must both follow the units as they now are.
+    def three_levels(rng, m):
+        x = np.sort(rng.uniform(0, 1, m))[:, None]
+        y = np.where(x < 0.31, 0.0, np.where(x < 0.67, 6.0, 1.0))
+        return x, y + 0.05 * rng.normal(size=(m, 1))
+
+    rng = np.random.default_rng(0)
+    (x, y), (val_x, val_y) = three_levels(rng, 60), three_levels(rng, 30)
+    state = LayerState(x, y, val_x, val_y, LassoConfig(), 1e5)
+    for _ in range(4):
+        state.add_neuron()
+    first = [np.copy(a) for a in state_units(state)[0]]
+    calls = []
+
+    def failing_second(*args):
+        calls.append(1)
+        fit = scheduled_lasso_fit(*args)
+        return dataclasses.replace(fit, converged=False) if len(calls) == 2 else fit
+
+    monkeypatch.setattr("bannet.train.scheduled_lasso_fit", failing_second)
+    with pytest.raises(SolverError):
+        state.replace_pass(10)
+    assert len(calls) == 2
+    assert not all(np.array_equal(a, b) for a, b in zip(state_units(state)[0], first))
+    val_want = units_prediction(state_units(state), val_x)
+    scale = np.max(np.abs(val_want))
+    assert np.max(np.abs(state.val_pred.T - val_want)) <= 1e-12 * scale
+    train_want = y - units_prediction(state_units(state), x)
+    assert np.max(np.abs(state.residuals.T - train_want)) <= 1e-12 * np.max(np.abs(y))
 
 
 def test_replace_pass_improves_suboptimal_greedy_order():

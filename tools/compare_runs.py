@@ -1,0 +1,143 @@
+"""Byte comparison of the trainings of two source checkouts.
+
+    python3 tools/compare_runs.py PARENT CHANGE --seed 0
+
+Makes the inputs of the ``plant_deep``, ``rows_multi`` and ``plant_headline``
+benchmark workloads from the seed with PARENT's ``perfbench/workloads.py``,
+then runs ``bannet train`` with each workload's options once per checkout,
+each run in its own subprocess with ``PYTHONPATH=<checkout>/src`` and BLAS on
+one thread. For each workload it prints how many trainings wrote identical
+``model.json``, ``summary.json`` and ``report.csv``, and, for each report
+column that differs, in how many rows and by what largest relative
+difference.
+
+Work files live in a directory under the system temp directory, removed at
+the end; neither checkout is written to. The exit status is 1 when a training
+fails in either checkout, else 0, whatever the differences.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import importlib.util
+import io
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+WORKLOADS = ("plant_deep", "rows_multi", "plant_headline")
+FILES = ("model.json", "summary.json", "report.csv")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def parent_workloads(parent: str) -> dict:
+    """WORKLOADS of PARENT's perfbench/workloads.py, imported against PARENT's bannet."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
+    sys.path.insert(0, os.path.join(parent, "src"))
+    path = os.path.join(parent, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("parent_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def train(checkout: str, argv: list[str], out: str, workdir: str) -> str | None:
+    """Run ``bannet train`` from CHECKOUT's sources; returns an error message or None."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update({var: "1" for var in BLAS_VARS})
+    done = subprocess.run(
+        [sys.executable, "-m", "bannet.cli", *argv, "--out", out],
+        env=env, cwd=workdir, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        last = done.stderr.strip().splitlines()[-1:] or [""]
+        return f"exit {done.returncode}: {last[0]}"
+    return None
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def report_differences(a: bytes, b: bytes, columns: dict[str, list]) -> None:
+    """Add to COLUMNS, per report column, [rows that differ, rows, largest relative difference]."""
+    rows_a = list(csv.reader(io.StringIO(a.decode())))
+    rows_b = list(csv.reader(io.StringIO(b.decode())))
+    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        entry = columns.setdefault("(header or row count)", [0, 0, math.inf])
+        entry[0] += 1
+        entry[1] += 1
+        return
+    for j, name in enumerate(rows_a[0]):
+        entry = columns.setdefault(name, [0, 0, 0.0])
+        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+            entry[1] += 1
+            if row_a[j] == row_b[j]:
+                continue
+            x, y = float(row_a[j]), float(row_b[j])
+            entry[0] += 1
+            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+            entry[2] = max(entry[2], math.inf if math.isnan(rel) else rel)
+
+
+def compare_workload(name, workload, seed, parent, change, workdir) -> int:
+    """Train every dataset of WORKLOAD in both checkouts and print the comparison."""
+    data_dir = os.path.join(workdir, name)
+    os.makedirs(data_dir)
+    workload.setup(seed, data_dir)
+    identical = dict.fromkeys(FILES, 0)
+    columns: dict[str, list] = {}
+    failures = 0
+    for path in workload.paths:
+        argv = ["train", "--data", path, "--labels", str(workload.labels),
+                "--seed", str(workload.seed), *workload.options]
+        outs = [os.path.join(data_dir, side) for side in ("parent", "change")]
+        errors = [train(checkout, argv, out, workdir) for checkout, out in zip((parent, change), outs)]
+        if any(errors):
+            failures += 1
+            print(f"  {os.path.basename(path)}: parent {errors[0] or 'ok'}, change {errors[1] or 'ok'}")
+        else:
+            files = [{f: _read(os.path.join(out, f)) for f in FILES} for out in outs]
+            for f in FILES:
+                identical[f] += files[0][f] == files[1][f]
+            report_differences(files[0]["report.csv"], files[1]["report.csv"], columns)
+        for out in outs:
+            shutil.rmtree(out, ignore_errors=True)
+    runs = len(workload.paths)
+    print(f"{name}: {runs} trainings, seed {seed}, {failures} failed")
+    for f in FILES:
+        print(f"  {f} identical: {identical[f]} of {runs}")
+    for column, (differ, rows, rel) in columns.items():
+        if differ:
+            print(f"  report.csv {column}: {differ} of {rows} rows differ, "
+                  f"largest relative difference {rel:.3g}")
+    return failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="source checkout to compare against")
+    parser.add_argument("change", help="source checkout under test")
+    parser.add_argument("--seed", type=int, required=True, help="benchmark seed of the inputs")
+    args = parser.parse_args(argv)
+    parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    factories = parent_workloads(parent)
+    workdir = tempfile.mkdtemp(prefix="compare_runs-")
+    try:
+        failures = sum(
+            compare_workload(name, factories[name](), args.seed, parent, change, workdir)
+            for name in WORKLOADS
+        )
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
