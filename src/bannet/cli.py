@@ -109,8 +109,8 @@ def load_manifest(path: str) -> RunManifest:
 
 def run_train(manifest: RunManifest) -> int:
     spec, cfg = manifest.split_spec(), manifest.train_config()
-    data = load_csv(manifest.dataset, manifest.labels)
-    train, val, test = split_dataset(data, spec)
+    # No name holds the unsplit rows, so they are freed once split.
+    train, val, test = split_dataset(load_csv(manifest.dataset, manifest.labels), spec)
     out = manifest.out_dir
     try:
         os.makedirs(out, exist_ok=True)

@@ -103,14 +103,8 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path}: non-finite values present")
 
-    return Dataset(_columns(values, feature_idx), _columns(values, label_idx))
-
-
-def _columns(values: np.ndarray, idx: list[int]) -> np.ndarray:
-    """Columns ``idx`` of values; a view where they are a contiguous range."""
-    if idx == list(range(idx[0], idx[0] + len(idx))):
-        return values[:, idx[0] : idx[0] + len(idx)]
-    return values[:, idx]
+    # Indexing by a list copies the columns once, and the Dataset keeps those copies.
+    return Dataset._adopt(values[:, feature_idx], values[:, label_idx])
 
 
 def _c_parse(path: str, header_lines: int, n_cols: int) -> np.ndarray | None:

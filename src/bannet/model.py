@@ -119,14 +119,27 @@ class BannModel:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (m x d0) with a label matrix (m x dl)."""
+    """Feature matrix (m x d0) with a label matrix (m x dl), both read-only.
+    The constructor copies its inputs; ``take`` and ``load_csv`` do not copy twice."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _readonly(self.features, 2, "features"))
-        object.__setattr__(self, "labels", _readonly(self.labels, 2, "labels"))
+        self._freeze(_readonly(self.features, 2, "features"), _readonly(self.labels, 2, "labels"))
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """A Dataset on finite 2-d float arrays that nothing else writes, such
+        as the fresh results of fancy indexing: made read-only, not copied."""
+        data = object.__new__(cls)
+        data._freeze(features, labels)
+        return data
+
+    def _freeze(self, features: np.ndarray, labels: np.ndarray) -> None:
+        for name, values in (("features", features), ("labels", labels)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.features.shape[0] != self.labels.shape[0]:
             raise DataError(
                 f"features have {self.features.shape[0]} rows, labels {self.labels.shape[0]}"
@@ -147,7 +160,8 @@ class Dataset:
         return self.labels.shape[1]
 
     def take(self, indices) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices])
+        """The rows an index array selects, copied once by the indexing."""
+        return Dataset._adopt(self.features[indices], self.labels[indices])
 
 
 def activate(z, params: ActivationParams) -> np.ndarray:

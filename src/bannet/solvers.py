@@ -81,7 +81,9 @@ class StandardizedDesign:
         # times has 4e-17), so constancy is read from the values instead.
         varies = (x != x[0]).any(axis=0)
         self.scale = np.where(varies, x.std(axis=0), 1.0)
-        self.z = (x - self.mean) / self.scale
+        # In place, the division rounds as in (x - mean) / scale without a second temporary.
+        self.z = x - self.mean
+        self.z /= self.scale
         # Zeroed, a constant column has exactly zero Gram row and correlation,
         # so no fit ever moves its weight.
         self.z[:, ~varies] = 0.0

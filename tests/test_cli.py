@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -93,6 +94,32 @@ def test_train_splits_projections_one_ulp_apart(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["train_mse"] == 0.0 and summary["test_mse"] == 0.0
+
+
+def test_train_peak_memory_stays_near_one_copy_of_the_rows(tmp_path, capsys):
+    # Shaped like the rows_multi benchmark: one layer on 8 features and 3
+    # targets. The three splits hold one copy of the values, and the layer's
+    # standardized design, residuals and bias scan bring the peak to about
+    # 2.4x. Holding the unsplit rows through training, or a second copy of a
+    # split, lands above 2.6x.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(50_000, 8))
+    noise = rng.normal(size=(50_000, 3))
+    y = np.column_stack([np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1] * x[:, 2] + 0.3 * noise[:, 0],
+                         1.5 * x[:, 3] - 2.0 * x[:, 5] + 0.3 * noise[:, 1], noise[:, 2]])
+    values = np.hstack([x, y])
+    data = tmp_path / "rows.csv"
+    header = ",".join([f"x{j}" for j in range(8)] + ["y0", "y1", "y2"])
+    np.savetxt(data, values, fmt="%.17g", delimiter=",", header=header, comments="")
+    tracemalloc.start()
+    try:
+        code = main(["train", "--data", str(data), "--labels", "3", "--max-layers", "1",
+                     "--max-neurons", "5", "--patience", "5", "--out", str(tmp_path / "run")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.6 * values.nbytes
 
 
 def test_manifest_rerun_reproduces_bytes(tmp_path):

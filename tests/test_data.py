@@ -159,6 +159,34 @@ def test_split_deterministic_and_disjoint():
         assert {tuple(r) for r in rows} == original
 
 
+def test_split_copies_each_part_once_and_shares_nothing():
+    # Each part is the source's rows in permutation order, read-only and in
+    # memory of its own; the parts add about one copy of the source (plus the
+    # permutation) to the traced peak, where a second copy per part would
+    # push it past 1.2x.
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=(40_000, 8)), rng.normal(size=(40_000, 3)))
+    source_bytes = data.features.nbytes + data.labels.nbytes
+    spec = SplitSpec(seed=5)
+    tracemalloc.start()  # traces only what the split allocates
+    try:
+        parts = split_dataset(data, spec)
+        _, added = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    perm = np.random.default_rng(spec.seed).permutation(data.m)
+    n_train, n_val = parts[0].m, parts[1].m
+    rows = (perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :])
+    arrays = [data.features, data.labels]
+    for part, idx in zip(parts, rows):
+        for got, source in ((part.features, data.features), (part.labels, data.labels)):
+            assert not got.flags.writeable
+            assert np.array_equal(got.view(np.int64), source[idx].view(np.int64))
+            assert not any(np.shares_memory(got, other) for other in arrays)
+            arrays.append(got)
+    assert added <= 1.2 * source_bytes
+
+
 def test_split_rejects_tiny_dataset():
     data = Dataset(np.zeros((4, 1)), np.zeros((4, 1)))
     with pytest.raises(DataError):
@@ -258,19 +286,22 @@ def test_load_csv_reads_a_named_pipe_through_its_one_handle(tmp_path):
 
 
 def test_load_csv_peak_memory_stays_near_one_copy_of_the_values(tmp_path):
-    # The parsed array plus the Dataset's copy is 2x the values; a copy of
-    # the whole file or of a column selection would push the peak past 2.5x.
+    # The parsed array plus the Dataset's columns is 2x the values; a copy of
+    # the whole file or of a column selection would push the peak past 2.5x,
+    # whether the label columns trail or sit in the middle.
     path = tmp_path / "d.csv"
     values = np.random.default_rng(0).normal(size=(100_000, 5))
-    np.savetxt(path, values, fmt="%.17g", delimiter=",", header="a,b,c,d,y", comments="")
-    tracemalloc.start()
-    try:
-        data = load_csv(str(path), 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(np.hstack([data.features, data.labels]), values)
-    assert peak < 2.5 * values.nbytes
+    for header, labels, label_idx in (("a,b,c,d,y", 1, [4]), ("a,b,y,c,d", "y", [2])):
+        np.savetxt(path, values, fmt="%.17g", delimiter=",", header=header, comments="")
+        tracemalloc.start()
+        try:
+            data = load_csv(str(path), labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(data.labels, values[:, label_idx])
+        assert np.array_equal(data.features, np.delete(values, label_idx, axis=1))
+        assert peak < 2.5 * values.nbytes, header
 
 
 def test_load_csv_bad_utf8_deep_in_file_gives_the_csv_reader_message(tmp_path):

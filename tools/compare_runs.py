@@ -9,7 +9,9 @@ each run in its own subprocess with ``PYTHONPATH=<checkout>/src`` and BLAS on
 one thread. For each workload it prints how many trainings wrote identical
 ``model.json``, ``summary.json`` and ``report.csv``, and, for each report
 column that differs, in how many rows and by what largest relative
-difference.
+difference. It also prints, per checkout, the median and the largest peak
+resident memory of the trainings, each read from its own process, so the
+figures hold the program's peak without the benchmark harness's setup.
 
 Work files live in a directory under the system temp directory, removed at
 the end; neither checkout is written to. The exit status is 1 when a training
@@ -25,6 +27,7 @@ import io
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,18 +49,25 @@ def parent_workloads(parent: str) -> dict:
     return module.WORKLOADS
 
 
-def train(checkout: str, argv: list[str], out: str, workdir: str) -> str | None:
-    """Run ``bannet train`` from CHECKOUT's sources; returns an error message or None."""
+def train(checkout: str, argv: list[str], out: str, workdir: str) -> tuple[str | None, float]:
+    """Run ``bannet train`` from CHECKOUT's sources; returns an error message
+    or None, and the peak resident memory of its process in MB."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in BLAS_VARS})
-    done = subprocess.run(
+    child = subprocess.Popen(
         [sys.executable, "-m", "bannet.cli", *argv, "--out", out],
-        env=env, cwd=workdir, capture_output=True, text=True,
+        env=env, cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
-    if done.returncode != 0:
-        last = done.stderr.strip().splitlines()[-1:] or [""]
-        return f"exit {done.returncode}: {last[0]}"
-    return None
+    with child.stderr:
+        stderr = child.stderr.read()
+    # wait4 reaps the child and returns its own resource usage (ru_maxrss in KiB on Linux).
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    peak_mb = usage.ru_maxrss / 1024.0
+    if child.returncode != 0:
+        last = stderr.strip().splitlines()[-1:] or [""]
+        return f"exit {child.returncode}: {last[0]}", peak_mb
+    return None, peak_mb
 
 
 def _read(path: str) -> bytes:
@@ -94,11 +104,16 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     identical = dict.fromkeys(FILES, 0)
     columns: dict[str, list] = {}
     failures = 0
+    peaks: tuple[list[float], list[float]] = ([], [])
     for path in workload.paths:
         argv = ["train", "--data", path, "--labels", str(workload.labels),
                 "--seed", str(workload.seed), *workload.options]
         outs = [os.path.join(data_dir, side) for side in ("parent", "change")]
-        errors = [train(checkout, argv, out, workdir) for checkout, out in zip((parent, change), outs)]
+        errors = []
+        for checkout, out, side_peaks in zip((parent, change), outs, peaks):
+            error, peak_mb = train(checkout, argv, out, workdir)
+            errors.append(error)
+            side_peaks.append(peak_mb)
         if any(errors):
             failures += 1
             print(f"  {os.path.basename(path)}: parent {errors[0] or 'ok'}, change {errors[1] or 'ok'}")
@@ -113,6 +128,9 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     print(f"{name}: {runs} trainings, seed {seed}, {failures} failed")
     for f in FILES:
         print(f"  {f} identical: {identical[f]} of {runs}")
+    for side, side_peaks in zip(("parent", "change"), peaks):
+        print(f"  {side} peak RSS: median {statistics.median(side_peaks):.2f} MB, "
+              f"largest {max(side_peaks):.2f} MB")
     for column, (differ, rows, rel) in columns.items():
         if differ:
             print(f"  report.csv {column}: {differ} of {rows} rows differ, "
