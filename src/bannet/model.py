@@ -286,13 +286,16 @@ def reparametrize_activation(model: BannModel, target: ActivationParams) -> Bann
     return BannModel(target, tuple(new_hidden), new_output)
 
 
+def count_nonzero(*arrays: np.ndarray) -> int:
+    """Number of nonzero entries of the arrays. The sparse solver produces
+    exact zeros, so no threshold is needed."""
+    return sum(int(np.count_nonzero(a)) for a in arrays)
+
+
 def count_nonzero_parameters(model: BannModel) -> int:
-    """Number of nonzero weights and biases. The sparse solver produces exact
-    zeros, so no threshold is needed."""
-    return sum(
-        int(np.count_nonzero(layer.weights)) + int(np.count_nonzero(layer.biases))
-        for layer in model.hidden + (model.output,)
-    )
+    """Number of nonzero weights and biases."""
+    return count_nonzero(*(a for layer in model.hidden + (model.output,)
+                           for a in (layer.weights, layer.biases)))
 
 
 def model_to_dict(model: BannModel) -> dict:

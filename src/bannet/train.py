@@ -18,18 +18,18 @@ residuals reset to the original labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, SolverError, TrainingAbort, ZeroWeightVector
+from .errors import ConfigError, DimensionError, SolverError, TrainingAbort, ZeroWeightVector
 from .model import (
     SIGN,
     BannModel,
     Dataset,
     LayerParams,
     activate,
-    count_nonzero_parameters,
+    count_nonzero,
     forward,
     hidden_pattern,
     squared_error_sums,
@@ -206,6 +206,15 @@ class LayerState:
         self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
         self.m = self.residuals.shape[1]
         self.train_mse = float(self.residuals.ravel() @ self.residuals.ravel() / self.m)
+        self.val_features = np.asarray(val_features, dtype=float)
+        self.val_targets = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
+        for name, train, val in (("features", self.features, self.val_features),
+                                 ("labels", self.residuals.T, self.val_targets)):
+            if val.shape[1:] != train.shape[1:]:
+                raise DimensionError(
+                    f"validation {name} have shape {val.shape}, training {name} {train.shape}"
+                )
+        self.val_pred = np.zeros_like(self.val_targets.T, order="C")
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
@@ -213,9 +222,6 @@ class LayerState:
         self.b = np.empty(0)
         self.C = np.empty((self.residuals.shape[0], 0))
         self.D = np.empty((0, self.residuals.shape[0]))
-        self.val_features = np.asarray(val_features, dtype=float)
-        self.val_targets = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
-        self.val_pred = np.zeros_like(self.val_targets.T, order="C")
 
     def val_mse(self) -> float:
         return squared_error_sums(self.val_pred.T, self.val_targets)[0] / self.val_targets.shape[0]
@@ -306,7 +312,7 @@ class LayerState:
 @dataclass
 class LayerResult:
     network: BannModel
-    best_val_mse: float
+    record: IterationRecord
     aborted: bool
     current_lambda: float
 
@@ -329,16 +335,18 @@ def build_layer(
     """Grow one hidden layer on the given inputs, tracking validation error
     for early stopping, then roll back to the width with the best validation
     error. Validation only decides where growth stops and which width is
-    kept, never which unit comes next. A record's nnz counts its network: the
-    frozen layers ``kept`` below this one, the grown units and their output
-    head. The returned network is the network of the record at the kept width."""
+    kept, never which unit comes next. A record's nnz is counted from the
+    layer's arrays: the frozen layers ``kept`` below this one, counted once,
+    plus the grown units and their output head. The units are copied out
+    only when validation improves, and the network is built once, after
+    growth, from the copy at the kept width."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
     state = LayerState(features, targets, val_features, val_targets, cfg.lasso,
                        current_lambda or cfg.lasso.lambda0)
+    frozen_nnz = count_nonzero(*(a for layer in kept for a in (layer.weights, layer.biases)))
 
-    best: BannModel | None = None
-    best_val = math.inf
+    best: tuple[IterationRecord, LayerParams, LayerParams] | None = None
     bad_streak = 0
     aborted = False
 
@@ -352,29 +360,19 @@ def build_layer(
             aborted = True
         # A lone unit has nothing to replace, so an intercept unit stays.
         replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
-        val_mse = state.val_mse()
-        # LayerParams copies, so later replacements leave this network alone.
-        grown = LayerParams(state.W, state.b)
-        network = BannModel(SIGN, kept + (grown,), LayerParams(state.C, state.D.sum(axis=0)))
+        head_b = state.D.sum(axis=0)
+        record = IterationRecord(
+            layer=layer_index, t=t, train_mse=state.train_mse, val_mse=state.val_mse(),
+            drop=drop, predicted_drop=predicted, replacements=replacements,
+            lambda_used=state.current_lambda, side_imbalance=max(imbalance, repl_imbalance),
+            nnz=frozen_nnz + count_nonzero(state.W, state.b, state.C, head_b),
+        )
         if records is not None:
-            records.append(
-                IterationRecord(
-                    layer=layer_index,
-                    t=t,
-                    train_mse=state.train_mse,
-                    val_mse=val_mse,
-                    drop=drop,
-                    predicted_drop=predicted,
-                    replacements=replacements,
-                    lambda_used=state.current_lambda,
-                    nnz=count_nonzero_parameters(network),
-                    side_imbalance=max(imbalance, repl_imbalance),
-                )
-            )
+            records.append(record)
 
-        if val_mse < best_val or best is None:
-            best = network
-            best_val = val_mse
+        if best is None or record.val_mse < best[0].val_mse:
+            # LayerParams copies, so later replacements leave the kept units alone.
+            best = record, LayerParams(state.W, state.b), LayerParams(state.C, head_b)
             bad_streak = 0
         else:
             bad_streak += 1
@@ -383,12 +381,9 @@ def build_layer(
         if aborted:
             break
 
-    return LayerResult(
-        network=best,
-        best_val_mse=best_val,
-        aborted=aborted,
-        current_lambda=state.current_lambda,
-    )
+    record, grown, head = best
+    return LayerResult(BannModel(SIGN, kept + (grown,), head), record, aborted,
+                       state.current_lambda)
 
 
 def build_network(
@@ -422,7 +417,7 @@ def build_network(
             kept=incumbent.network.hidden if incumbent else (),
         )
         current_lambda = result.current_lambda
-        if depth > 1 and result.best_val_mse >= incumbent.best_val_mse:
+        if depth > 1 and result.record.val_mse >= incumbent.record.val_mse:
             break
         incumbent = result
         if result.aborted or depth == cfg.max_hidden_layers:
@@ -433,22 +428,14 @@ def build_network(
     model = incumbent.network
 
     report.architecture = model.architecture()
-    total, _ = squared_error_sums(forward(model, dataset.features), dataset.labels)
-    report.final_train_mse = total / dataset.m
-    total, _ = squared_error_sums(forward(model, val_data.features), val_data.labels)
-    report.final_val_mse = total / val_data.m
-    report.records.append(
-        IterationRecord(
-            layer=len(model.hidden),
-            t=incumbent.width,
-            train_mse=report.final_train_mse,
-            val_mse=report.final_val_mse,
-            drop=0.0,
-            predicted_drop=0.0,
-            replacements=0,
-            lambda_used=current_lambda,
-            nnz=count_nonzero_parameters(model),
-            side_imbalance=0.0,
-        )
+    report.final_train_mse, report.final_val_mse = (
+        squared_error_sums(forward(model, data.features), data.labels)[0] / data.m
+        for data in (dataset, val_data)
     )
+    # The kept record's layer, t and nnz describe the returned model as they stand.
+    report.records.append(replace(
+        incumbent.record, train_mse=report.final_train_mse, val_mse=report.final_val_mse,
+        drop=0.0, predicted_drop=0.0, replacements=0, lambda_used=current_lambda,
+        side_imbalance=0.0,
+    ))
     return model, report

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bannet.data import SplitSpec, split_dataset
-from bannet.errors import ConfigError, SolverError, ZeroWeightVector
+from bannet.errors import ConfigError, DimensionError, SolverError, ZeroWeightVector
 from bannet.model import (
     SIGN,
     BannModel,
@@ -53,6 +53,21 @@ def units_prediction(units, features):
     for w, b, c, d in units:
         pred += unit_side(features, w, b)[:, None] * c + d
     return pred
+
+
+def capture_layer_arrays(monkeypatch):
+    """Record (W, b, C, D.sum(axis=0)) of every LayerState after each replace pass,
+    that is, the units and head of each growth record."""
+    captured = []
+    replace_pass = LayerState.replace_pass
+
+    def recording(self, cap):
+        out = replace_pass(self, cap)
+        captured.append(tuple(a.copy() for a in (self.W, self.b, self.C, self.D.sum(axis=0))))
+        return out
+
+    monkeypatch.setattr(LayerState, "replace_pass", recording)
+    return captured
 
 
 def pack_units(units):
@@ -586,23 +601,16 @@ def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
     x, val_x = rng.normal(size=(200, 3)), rng.normal(size=(100, 3))
     y = np.sin(2 * x[:, :1]) + 0.5 * rng.normal(size=(200, 1))
     val_y = np.sin(2 * val_x[:, :1]) + 0.5 * rng.normal(size=(100, 1))
-    def model_bytes(model):
-        layers = model.hidden + (model.output,)
-        return [(a.shape, a.tobytes()) for layer in layers for a in (layer.weights, layer.biases)]
-
-    captured = []
-
-    def spy(model):
-        captured.append(model_bytes(model))
-        return count_nonzero_parameters(model)
-
-    monkeypatch.setattr("bannet.train.count_nonzero_parameters", spy)
+    captured = capture_layer_arrays(monkeypatch)
     records = []
     cfg = TrainConfig(max_neurons_per_layer=30, max_hidden_layers=1, replace_cap=10, patience=8)
     result = build_layer(x, y, val_x, val_y, cfg, records=records)
     assert len(captured) == len(records)
     assert sum(r.replacements for r in records[result.width:]) >= 1
-    assert model_bytes(result.network) == captured[result.width - 1]
+    last, head = result.network.hidden[-1], result.network.output
+    got = (last.weights, last.biases, head.weights, head.biases)
+    for a, b in zip(got, captured[result.width - 1], strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_build_layer_constant_targets_aborts_at_width_one():
@@ -720,6 +728,55 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
     assert scored is not None
     for got, expected in zip(scored, want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_report_nnz_and_final_row_under_replacements(monkeypatch):
+    # At the default replace_cap, units are rewritten in place; each growth
+    # record's nnz counts the kept layers plus the units as they stood after
+    # that record's replace pass, and the final row restates the kept record
+    # with the returned model's errors. At this seed the kept record's
+    # incrementally tracked errors differ from the re-scored ones in the last
+    # bits, so the final row's exact asserts tell the two apart.
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(240, 3))
+    y = np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0) + 0.05 * rng.normal(size=(240, 1))
+    train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=4))
+    captured = capture_layer_arrays(monkeypatch)
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, patience=4)
+    model, report = build_network(train, cfg, val_data=val)
+    growth, final = report.records[:-1], report.records[-1]
+    assert {r.layer for r in growth} == {1, 2}
+    assert len(captured) == len(growth)
+    assert all(sum(r.replacements for r in growth if r.layer == k) >= 1 for k in (1, 2))
+    for r, (w, b, c, head_b) in zip(growth, captured):
+        kept = () if r.layer == 1 else (model.hidden[0],)
+        partial = BannModel(SIGN, kept + (LayerParams(w, b),), LayerParams(c, head_b))
+        assert r.nnz == count_nonzero_parameters(partial)
+    rows = [r for r in growth if r.layer == len(model.hidden)]
+    kept_record = min(rows, key=lambda r: r.val_mse)  # the first of equal minima
+    assert kept_record.t == model.hidden[-1].width
+    assert (final.layer, final.t, final.nnz) == (kept_record.layer, kept_record.t, kept_record.nnz)
+    assert final.train_mse == mse(model, train)
+    assert final.val_mse == mse(model, val)
+
+
+@pytest.mark.parametrize(
+    "val_features_width, val_labels_width",
+    [(3, 1), (2, 2), (3, 3)],
+    ids=["one_label", "two_features", "three_labels"],
+)
+def test_validation_data_of_another_width_raises_dimension_error(
+    val_features_width, val_labels_width
+):
+    rng = np.random.default_rng(24)
+    train = Dataset(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
+    val = Dataset(rng.normal(size=(20, val_features_width)),
+                  rng.normal(size=(20, val_labels_width)))
+    cfg = TrainConfig(max_neurons_per_layer=4, max_hidden_layers=2, patience=4)
+    with pytest.raises(DimensionError, match=r"\(20, \d\).*\(50, \d\)"):
+        build_network(train, cfg, val_data=val)
+    with pytest.raises(DimensionError, match=r"\(20, \d\).*\(50, \d\)"):
+        build_layer(train.features, train.labels, val.features, val.labels, cfg)
 
 
 @settings(max_examples=60)

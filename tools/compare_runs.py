@@ -13,9 +13,14 @@ difference. It also prints, per checkout, the median and the largest peak
 resident memory of the trainings, each read from its own process, so the
 figures hold the program's peak without the benchmark harness's setup.
 
+It also makes the ``eval_regions`` inputs (a fixed model and its CSV rows)
+with PARENT's workload, runs ``bannet evaluate`` and ``bannet bounds`` on
+them once per checkout, each in its own subprocess, and prints whether each
+command's stdout is identical.
+
 Work files live in a directory under the system temp directory, removed at
 the end; neither checkout is written to. The exit status is 1 when a training
-fails in either checkout, else 0, whatever the differences.
+or command fails in either checkout, else 0, whatever the differences.
 """
 
 from __future__ import annotations
@@ -49,14 +54,19 @@ def parent_workloads(parent: str) -> dict:
     return module.WORKLOADS
 
 
+def cli_env(checkout: str) -> dict:
+    """Environment that runs CHECKOUT's sources with BLAS on one thread."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update({var: "1" for var in BLAS_VARS})
+    return env
+
+
 def train(checkout: str, argv: list[str], out: str, workdir: str) -> tuple[str | None, float]:
     """Run ``bannet train`` from CHECKOUT's sources; returns an error message
     or None, and the peak resident memory of its process in MB."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update({var: "1" for var in BLAS_VARS})
     child = subprocess.Popen(
-        [sys.executable, "-m", "bannet.cli", *argv, "--out", out],
-        env=env, cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        [sys.executable, "-m", "bannet.cli", *argv, "--out", out], env=cli_env(checkout),
+        cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     with child.stderr:
         stderr = child.stderr.read()
@@ -138,6 +148,31 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     return failures
 
 
+def compare_eval(workload, seed, parent, change, workdir) -> int:
+    """Run evaluate and bounds on the eval_regions inputs in both checkouts
+    and print whether each command's stdout is identical."""
+    data_dir = os.path.join(workdir, "eval_regions")
+    os.makedirs(data_dir)
+    workload.setup(seed, data_dir)
+    print(f"eval_regions: seed {seed}")
+    failures = 0
+    for command in ("evaluate", "bounds"):
+        argv = [command, "--model", workload.model_path, "--data", workload.data_path]
+        done = [
+            subprocess.run([sys.executable, "-m", "bannet.cli", *argv], env=cli_env(checkout),
+                           cwd=workdir, capture_output=True, check=False)
+            for checkout in (parent, change)
+        ]
+        codes = [run.returncode for run in done]
+        if any(codes):
+            failures += 1
+            print(f"  {command}: parent exit {codes[0]}, change exit {codes[1]}")
+        else:
+            same = done[0].stdout == done[1].stdout
+            print(f"  {command} stdout identical: {'yes' if same else 'no'}")
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="source checkout to compare against")
@@ -152,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             compare_workload(name, factories[name](), args.seed, parent, change, workdir)
             for name in WORKLOADS
         )
+        failures += compare_eval(factories["eval_regions"](), args.seed, parent, change, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 1 if failures else 0
