@@ -59,7 +59,6 @@ class RunManifest:
     seed: int = SplitSpec.seed
     max_neurons: int = TrainConfig.max_neurons_per_layer
     max_layers: int = TrainConfig.max_hidden_layers
-    replace_cap: int = TrainConfig.replace_cap
     patience: int = TrainConfig.patience
     lambda0: float = LassoConfig.lambda0
     out_dir: str = "."
@@ -70,14 +69,14 @@ class RunManifest:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(max_neurons_per_layer=self.max_neurons,
-                           max_hidden_layers=self.max_layers, replace_cap=self.replace_cap,
-                           patience=self.patience, lasso=LassoConfig(self.lambda0))
+                           max_hidden_layers=self.max_layers, patience=self.patience,
+                           lasso=LassoConfig(self.lambda0))
 
 
 # Settings that older manifests record; such a manifest reruns at these values only.
-_FIXED_SETTINGS = {"min_layer_gain": 0.0, "divisor": LassoConfig.divisor,
-                   "max_halvings": LassoConfig.max_divisions, "cd_tol": LassoConfig.kkt_slack,
-                   "cd_max_iters": LassoConfig.max_steps}
+_FIXED_SETTINGS = {"min_layer_gain": 0.0, "replace_cap": TrainConfig.replace_cap,
+                   "divisor": LassoConfig.divisor, "max_halvings": LassoConfig.max_divisions,
+                   "cd_tol": LassoConfig.kkt_slack, "cd_max_iters": LassoConfig.max_steps}
 
 
 def load_manifest(path: str) -> RunManifest:
@@ -237,7 +236,6 @@ def build_parser() -> _Parser:
         train.add_argument("--seed", type=int),
         train.add_argument("--max-layers", type=int),
         train.add_argument("--max-neurons", type=int),
-        train.add_argument("--replace-cap", type=int),
         train.add_argument("--patience", type=int),
         train.add_argument("--lambda0", type=float),
         train.add_argument("--out", dest="out_dir", help="output directory"),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,9 +41,12 @@ from .solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Growth limits. After each added unit the replace pass refits at most
+    ``replace_cap`` of the oldest units. Every field but ``replace_cap`` is a setting."""
+
     max_neurons_per_layer: int = 500
     max_hidden_layers: int = 3
-    replace_cap: int = 10
+    replace_cap: ClassVar[int] = 10
     patience: int = 20
     lasso: LassoConfig = field(default_factory=LassoConfig)
 
@@ -51,8 +55,6 @@ class TrainConfig:
             raise ConfigError("max_neurons_per_layer must be >= 1")
         if self.max_hidden_layers < 1:
             raise ConfigError("max_hidden_layers must be >= 1")
-        if self.replace_cap < 0:
-            raise ConfigError("replace_cap must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
 
@@ -208,12 +210,11 @@ class LayerState:
         self.train_mse = float(self.residuals.ravel() @ self.residuals.ravel() / self.m)
         self.val_features = np.asarray(val_features, dtype=float)
         self.val_targets = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
-        for name, train, val in (("features", self.features, self.val_features),
-                                 ("labels", self.residuals.T, self.val_targets)):
-            if val.shape[1:] != train.shape[1:]:
-                raise DimensionError(
-                    f"validation {name} have shape {val.shape}, training {name} {train.shape}"
-                )
+        x, y, vx, vy = self.features, self.residuals.T, self.val_features, self.val_targets
+        if (len(x) != len(y) or len(vx) != len(vy)
+                or (vx.shape[1:], vy.shape[1:]) != (x.shape[1:], y.shape[1:])):
+            raise DimensionError(f"validation features and labels have shapes {vx.shape} and "
+                                 f"{vy.shape}, training ones {x.shape} and {y.shape}")
         self.val_pred = np.zeros_like(self.val_targets.T, order="C")
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda

@@ -227,15 +227,17 @@ def run_cli_process(argv):
     ("manifest", "min_layer_gain", math.inf),
     ("flag", "seed", "-1"),
     ("manifest", "seed", -1),
+    ("manifest", "replace_cap", 0),
 ], ids=["flag", "manifest", "flag-lambda0-nan", "flag-lambda0-inf",
         "manifest-lambda0-inf", "manifest-divisor-nan",
         "manifest-cd_tol-inf", "manifest-gain-inf", "flag-seed-negative",
-        "manifest-seed-negative"])
+        "manifest-seed-negative", "manifest-replace_cap-zero"])
 def test_bad_lasso_setting_is_config_error(tmp_path, source, field, value):
     # Flags and manifest fields, NaN and Infinity included (JSON carries
     # both), reach the configs before any training. Manifests written before
-    # the schedule's divisor and solver limits became constants record them,
-    # and another value there is a configuration error too.
+    # the schedule's divisor, the solver limits and the replace pass's cap
+    # became constants record them, and another value there is a
+    # configuration error too.
     data = tmp_path / "d.csv"
     write_dataset(data)
     out = tmp_path / "run"
@@ -304,10 +306,10 @@ def test_manifest_field_of_wrong_type_is_data_error(tmp_path, field, value):
     assert not out.exists()
 
 
-# The older 17-key manifest format, which also recorded the five settings
+# The older 17-key manifest format, which also recorded the six settings
 # that are now fixed; here they hold their fixed values.
 OLD_FORMAT_FIXED = {"min_layer_gain": 0.0, "divisor": 1.5, "max_halvings": 200,
-                    "cd_tol": 1e-08, "cd_max_iters": 10000}
+                    "cd_tol": 1e-08, "cd_max_iters": 10000, "replace_cap": 10}
 
 
 def old_format_manifest(doc):
@@ -606,3 +608,16 @@ def test_usage_error_exits_three():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])
     assert exc.value.code == 3
+
+
+def test_replace_cap_flag_is_usage_error(tmp_path, capsys):
+    # The replace pass's cap is fixed at 10; no flag sets it.
+    data = tmp_path / "d.csv"
+    write_dataset(data, m=40)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data), "--labels", "1", "--replace-cap", "5",
+              "--out", str(out)])
+    assert exc.value.code == 3
+    assert "--replace-cap" in capsys.readouterr().err
+    assert not out.exists()

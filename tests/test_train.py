@@ -603,7 +603,7 @@ def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
     val_y = np.sin(2 * val_x[:, :1]) + 0.5 * rng.normal(size=(100, 1))
     captured = capture_layer_arrays(monkeypatch)
     records = []
-    cfg = TrainConfig(max_neurons_per_layer=30, max_hidden_layers=1, replace_cap=10, patience=8)
+    cfg = TrainConfig(max_neurons_per_layer=30, max_hidden_layers=1, patience=8)
     result = build_layer(x, y, val_x, val_y, cfg, records=records)
     assert len(captured) == len(records)
     assert sum(r.replacements for r in records[result.width:]) >= 1
@@ -690,10 +690,12 @@ def test_train_config_validation():
         TrainConfig(max_hidden_layers=0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
+    with pytest.raises(TypeError):  # the replace pass's cap is fixed, not a setting
+        TrainConfig(replace_cap=5)
 
 
-def test_report_nnz_counts_kept_layers_and_grown_units():
-    # Append-only growth (replace_cap=0) never rewrites a unit, so regrowing
+def test_report_nnz_counts_kept_layers_and_grown_units(monkeypatch):
+    # Append-only growth (replace_cap 0) never rewrites a unit, so regrowing
     # each layer from its starting penalty reproduces the units of every
     # growth record, and the returned model is the network of the record at
     # the kept width.
@@ -701,7 +703,8 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
     x = rng.normal(size=(240, 3))
     y = np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0) + 0.05 * rng.normal(size=(240, 1))
     train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=4))
-    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, replace_cap=0, patience=4)
+    monkeypatch.setattr(TrainConfig, "replace_cap", 0)
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, patience=4)
     model, report = build_network(train, cfg, val_data=val)
     growth = report.records[:-1]
     assert {r.layer for r in growth} == {1, 2}
@@ -777,6 +780,21 @@ def test_validation_data_of_another_width_raises_dimension_error(
         build_network(train, cfg, val_data=val)
     with pytest.raises(DimensionError, match=r"\(20, \d\).*\(50, \d\)"):
         build_layer(train.features, train.labels, val.features, val.labels, cfg)
+
+
+@pytest.mark.parametrize("split", ["training", "validation"])
+def test_feature_and_label_rows_that_disagree_raise_dimension_error(split):
+    # Dataset rejects such pairs, so only build_layer can be handed one.
+    rng = np.random.default_rng(25)
+    x, y = rng.normal(size=(50, 3)), rng.normal(size=(50, 1))
+    val_x, val_y = rng.normal(size=(20, 3)), rng.normal(size=(20, 1))
+    if split == "training":
+        y, shapes = y[:49], r"\(50, 3\) and \(49, 1\)"
+    else:
+        val_y, shapes = val_y[:19], r"\(20, 3\) and \(19, 1\)"
+    cfg = TrainConfig(max_neurons_per_layer=4, max_hidden_layers=1, patience=4)
+    with pytest.raises(DimensionError, match=shapes):
+        build_layer(x, y, val_x, val_y, cfg)
 
 
 @settings(max_examples=60)
