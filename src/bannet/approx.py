@@ -69,16 +69,16 @@ def build_product_approximator(m: float, delta: float) -> BannModel:
     return BannModel(SIGN, (hidden,), output)
 
 
-def square_grid_error(model: BannModel, n_points: int = 100_001) -> float:
-    """Max |B(x) - x^2| over an even grid on [0,1]."""
-    xs = np.linspace(0.0, 1.0, n_points)
+def square_grid_error(model: BannModel) -> float:
+    """Max |B(x) - x^2| over an even grid of 100 001 points on [0,1]."""
+    xs = np.linspace(0.0, 1.0, 100_001)
     pred = forward(model, xs[:, None])[:, 0]
     return float(np.max(np.abs(pred - xs * xs)))
 
 
-def product_grid_error(model: BannModel, m: float, n_points: int = 300) -> float:
-    """Max |B(x,y) - x*y| over an n x n grid on [-m, m]^2."""
-    axis = np.linspace(-m, m, n_points)
+def product_grid_error(model: BannModel, m: float) -> float:
+    """Max |B(x,y) - x*y| over a 300 x 300 grid on [-m, m]^2."""
+    axis = np.linspace(-m, m, 300)
     xx, yy = np.meshgrid(axis, axis)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     pred = forward(model, pts)[:, 0]

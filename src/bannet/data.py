@@ -32,28 +32,25 @@ class SplitSpec:
             raise ConfigError("seed must be >= 0")
 
 
-def parse_label_spec(spec: str | int | list[str]) -> int | list[str]:
-    """A label spec is either a trailing-column count or a list of names."""
-    if isinstance(spec, int):
-        return spec
-    if isinstance(spec, list):
-        return list(spec)
-    text = str(spec).strip()
-    if not text:
-        raise DataError("empty label spec")
-    try:
-        return int(text)
-    except ValueError:
-        return [name.strip() for name in text.split(",")]
-
-
 def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
     """Parse a headered, all-numeric CSV into features and labels.
 
-    ``label_columns`` names the label columns or gives a trailing-column
-    count. Missing or non-numeric cells are rejected with their position.
+    ``label_columns`` names the label columns (a list or a comma-separated
+    string) or gives a count k >= 1 (an int or its string) that stands for the
+    last k header names; either must leave a feature column. Missing or
+    non-numeric cells are rejected with their position.
     """
-    spec = parse_label_spec(label_columns)
+    spec = label_columns
+    if not isinstance(spec, (int, list)):
+        text = str(spec).strip()
+        if not text:
+            raise DataError("empty label spec")
+        try:
+            spec = int(text)
+        except ValueError:
+            spec = [name.strip() for name in text.split(",")]
+    if isinstance(spec, int) and spec < 1:
+        raise DataError(f"label count {spec} must be at least 1")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
@@ -76,24 +73,17 @@ def load_csv(path: str, label_columns: str | int | list[str]) -> Dataset:
         raise DataError(f"{path}: duplicate header column(s): {', '.join(dupes)}")
     n_cols = len(header)
 
-    if isinstance(spec, int):
-        if not 1 <= spec < n_cols:
-            raise DataError(
-                f"{path}: trailing label count {spec} must leave at least one "
-                f"feature column out of {n_cols}"
-            )
-        label_idx = list(range(n_cols - spec, n_cols))
-    else:
-        if len(set(spec)) != len(spec):
-            dupes = sorted({n for n in spec if spec.count(n) > 1})
-            raise DataError(f"{path}: duplicate label column(s): {', '.join(dupes)}")
-        try:
-            label_idx = [header.index(name) for name in spec]
-        except ValueError:
-            missing = [name for name in spec if name not in header]
-            raise DataError(f"{path}: label column(s) not found: {', '.join(missing)}")
-        if len(label_idx) == n_cols:
-            raise DataError(f"{path}: no feature columns left")
+    names = header[max(n_cols - spec, 0):] if isinstance(spec, int) else spec
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise DataError(f"{path}: duplicate label column(s): {', '.join(dupes)}")
+    try:
+        label_idx = [header.index(name) for name in names]
+    except ValueError:
+        missing = [name for name in names if name not in header]
+        raise DataError(f"{path}: label column(s) not found: {', '.join(missing)}")
+    if len(label_idx) == n_cols:
+        raise DataError(f"{path}: no feature columns left")
     feature_idx = [i for i in range(n_cols) if i not in label_idx]
 
     if values is None:

@@ -70,20 +70,29 @@ class StandardizedDesign:
 
     Building this once and fitting many target vectors against it is the hot
     path of layer construction, where the features are fixed and only the
-    regression targets change.
+    regression targets change. A column's mean and std are taken after an
+    exact division by 2^e, e the binary exponent of its largest magnitude, and
+    ``scale`` is that std times 2^e. So features at any finite scale train the
+    same model: times 2^k, they give the same z and raw weights times 2^-k.
     """
 
     def __init__(self, design: np.ndarray):
         x = np.asarray(design, dtype=float)
         self.n, self.p = x.shape
-        self.mean = x.mean(axis=0)
+        e = np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1]
+        # z.std would square into a temporary; squared in place, z gives the same std.
+        self.z = np.ldexp(x, -e)
+        mean = self.z.mean(axis=0)
+        self.z -= mean
+        self.z *= self.z
         # A constant column can have a rounding-level std (0.1 repeated 60
         # times has 4e-17), so constancy is read from the values instead.
         varies = (x != x[0]).any(axis=0)
-        self.scale = np.where(varies, x.std(axis=0), 1.0)
-        # In place, the division rounds as in (x - mean) / scale without a second temporary.
-        self.z = x - self.mean
-        self.z /= self.scale
+        std = np.where(varies, np.sqrt(self.z.sum(axis=0) / self.n), 1.0)
+        self.mean, self.scale = np.ldexp(mean, e), np.ldexp(std, np.where(varies, e, 0))
+        np.ldexp(x, -e, out=self.z)
+        self.z -= mean
+        self.z /= std
         # Zeroed, a constant column has exactly zero Gram row and correlation,
         # so no fit ever moves its weight.
         self.z[:, ~varies] = 0.0

@@ -21,7 +21,7 @@ def test_square_r1_levels_and_error():
     xs = np.array([0.0, 0.5, 0.8, 1.0])
     out = forward(model, xs[:, None])[:, 0]
     assert set(np.round(out, 12)) <= {0.0, 1.0}
-    err = square_grid_error(model, 20001)
+    err = square_grid_error(model)
     assert err <= 0.5 + DUST
     assert err >= 0.45  # the bound is tight for r = 1
 
@@ -42,7 +42,7 @@ def test_square_width_law():
     for r in (1, 4, 9, 33):
         model = build_square_approximator(r)
         assert model.hidden[0].width == r
-        assert square_grid_error(model, 20001) <= 1.0 / (2 * r) + DUST
+        assert square_grid_error(model) <= 1.0 / (2 * r) + DUST
 
 
 def test_square_rejects_nonpositive_r():

@@ -201,6 +201,16 @@ def test_data_error_exit_code(tmp_path):
     assert main(["train", "--data", str(bad), "--labels", "1", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_label_count_below_one_is_data_error(tmp_path, capsys, count):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,y\n1,2,3\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--labels", count, "--out", str(out)]) == 2
+    assert f"label count {count} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     data = tmp_path / "d.csv"
     write_dataset(data)

@@ -131,6 +131,31 @@ def test_load_csv_label_count_bounds(tmp_path):
         load_csv(str(path), 2)  # would leave no features
 
 
+@pytest.mark.parametrize("count, message", [
+    (0, r"^label count 0 must be at least 1$"),
+    (-1, r"^label count -1 must be at least 1$"),
+    ("0", r"^label count 0 must be at least 1$"),
+    (" -1 ", r"^label count -1 must be at least 1$"),
+    (2, r"d\.csv: no feature columns left$"),
+    ("3", r"d\.csv: no feature columns left$"),
+], ids=["0", "-1", "str-0", "str-padded-minus-1", "2-of-2", "str-3-of-2"])
+def test_load_csv_label_count_out_of_range(tmp_path, count, message):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b\n1,2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_csv(str(path), count)
+
+
+def test_load_csv_label_count_and_names_load_the_same_dataset(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5,6.5\n-0.1,7,8\n", encoding="utf-8")
+    want = load_csv(str(path), 1)
+    for spec in ("1", " 1 ", "y", ["y"]):
+        data = load_csv(str(path), spec)
+        for got, ref in ((data.features, want.features), (data.labels, want.labels)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_split_sizes_m100():
     data = Dataset(np.arange(200.0).reshape(100, 2), np.zeros((100, 1)))
     train, val, test = split_dataset(data, SplitSpec())
