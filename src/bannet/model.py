@@ -224,9 +224,9 @@ def forward(model: BannModel, x) -> np.ndarray:
     return propagate(model, x, len(model.hidden), with_output=True)
 
 
-def hidden_pattern(model: BannModel, x, k: int, start: int = 0) -> np.ndarray:
-    """Pattern over {h1, h2} after hidden layer k of x, layer ``start``'s output (0: input)."""
-    return unpack_pattern(model, propagate(model, x, k, with_output=False, start=start), k)
+def hidden_pattern(model: BannModel, x, k: int) -> np.ndarray:
+    """Pattern over {h1, h2} after hidden layer k of inputs x."""
+    return unpack_pattern(model, propagate(model, x, k, with_output=False), k)
 
 
 def unpack_pattern(model: BannModel, bits: np.ndarray, k: int) -> np.ndarray:

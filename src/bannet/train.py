@@ -18,7 +18,7 @@ residuals reset to the original labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -32,7 +32,6 @@ from .model import (
     activate,
     count_nonzero,
     forward,
-    hidden_pattern,
     squared_error_sums,
     write_atomic,
 )
@@ -61,15 +60,17 @@ class TrainConfig:
 
 @dataclass
 class IterationRecord:
+    """One row of ``report.csv``; its columns are these fields, in this order."""
+
     layer: int
     t: int
     train_mse: float
     val_mse: float
     drop: float
-    predicted_drop: float
-    replacements: int
     lambda_used: float
     nnz: int
+    predicted_drop: float
+    replacements: int
     side_imbalance: float
 
 
@@ -80,16 +81,10 @@ class TrainReport:
     final_train_mse: float = math.nan
     final_val_mse: float = math.nan
 
-    CSV_COLUMNS = ("layer", "t", "train_mse", "val_mse", "drop", "lambda", "nnz")
-
     def write_csv(self, path: str) -> None:
-        lines = [",".join(self.CSV_COLUMNS)]
-        for r in self.records:
-            lines.append(
-                f"{r.layer},{r.t},{r.train_mse!r},{r.val_mse!r},{r.drop!r},"
-                f"{r.lambda_used!r},{r.nnz}"
-            )
-        write_atomic(path, "\n".join(lines) + "\n")
+        names = [f.name for f in fields(IterationRecord)]
+        rows = [names] + [[repr(getattr(r, name)) for name in names] for r in self.records]
+        write_atomic(path, "".join(",".join(row) + "\n" for row in rows))
 
 
 def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
@@ -207,7 +202,7 @@ class LayerState:
         self.features = np.asarray(features, dtype=float)
         self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
         self.m = self.residuals.shape[1]
-        self.train_mse = float(self.residuals.ravel() @ self.residuals.ravel() / self.m)
+        self.train_mse = float(np.einsum("ij,ij->", self.residuals, self.residuals) / self.m)
         self.val_features = np.asarray(val_features, dtype=float)
         self.val_targets = np.asarray(val_targets, dtype=float).reshape(len(val_targets), -1)
         x, y, vx, vy = self.features, self.residuals.T, self.val_features, self.val_targets
@@ -260,7 +255,7 @@ class LayerState:
         left = np.outer(c, side)
         left += d[:, None]
         np.subtract(residuals, left, out=left)
-        return (w, b, c, d), side, left, float(left.ravel() @ left.ravel() / self.m)
+        return (w, b, c, d), side, left, float(np.einsum("ij,ij->", left, left) / self.m)
 
     def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
         """Fit and append one unit; returns (realized drop, predicted drop,
@@ -423,8 +418,10 @@ def build_network(
         incumbent = result
         if result.aborted or depth == cfg.max_hidden_layers:
             break
-        train_x = hidden_pattern(result.network, train_x, depth, start=depth - 1)
-        val_x = hidden_pattern(result.network, val_x, depth, start=depth - 1)
+        # The new layer's +/-1 patterns, one select on x @ W.T + b as a unit's sides are.
+        grown = result.network.hidden[-1]
+        train_x, val_x = (activate(np.add(z, grown.biases, out=z), SIGN)
+                          for z in (x @ grown.weights.T for x in (train_x, val_x)))
 
     model = incumbent.network
 

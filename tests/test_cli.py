@@ -46,7 +46,8 @@ def test_train_staircase_end_to_end(tmp_path, capsys):
     assert summary["test_mse"] <= 10 * max(summary["train_mse"], 1e-4)
     assert (out / "model.json").exists() and (out / "report.csv").exists()
     header = (out / "report.csv").read_text().splitlines()[0]
-    assert header == "layer,t,train_mse,val_mse,drop,lambda,nnz"
+    assert header == ("layer,t,train_mse,val_mse,drop,lambda_used,nnz,"
+                      "predicted_drop,replacements,side_imbalance")
 
 
 def test_train_constant_labels(tmp_path):
@@ -219,11 +220,36 @@ def test_config_error_exit_code(tmp_path):
     assert code == 3
 
 
-def run_cli_process(argv):
+def run_cli_process(argv, **env):
     """Run the command line in a fresh interpreter, so a traceback shows."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bannet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bannet.__file__)), **env)
     return subprocess.run([sys.executable, "-m", "bannet.cli", *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 3600 training rows of 3 targets: each residual sum of squares runs over
+    # more than the 10 000 values from which OpenBLAS splits a dot product
+    # across threads. The sums feed the report and every accept/reject
+    # decision, so they are reduced in an order no thread count changes.
+    rng = np.random.default_rng(0)
+    x, noise = rng.normal(size=(6000, 8)), rng.normal(size=(6000, 3))
+    y = np.column_stack([np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1] * x[:, 2] + 0.3 * noise[:, 0],
+                         1.5 * x[:, 3] - 2.0 * x[:, 5] + 0.3 * noise[:, 1], noise[:, 2]])
+    data = tmp_path / "rows.csv"
+    np.savetxt(data, np.column_stack([x, y]), fmt="%.17g", delimiter=",", comments="",
+               header=",".join([f"x{j}" for j in range(8)] + ["a", "b", "c"]))
+    outputs = []
+    for threads in ("1", "2"):  # never more threads than a 2-core machine has
+        out = tmp_path / f"threads{threads}"
+        done = run_cli_process(
+            ["train", "--data", str(data), "--labels", "3", "--seed", "1", "--max-layers", "1",
+             "--max-neurons", "3", "--patience", "3", "--out", str(out)],
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("model.json", "summary.json", "report.csv")})
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("source,field,value", [

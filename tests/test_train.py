@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import warnings
@@ -23,6 +24,7 @@ from bannet.model import (
 )
 from bannet.solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 from bannet.train import (
+    IterationRecord,
     LayerState,
     TrainConfig,
     build_layer,
@@ -399,8 +401,8 @@ def test_add_neuron_intercept_unit_is_the_zero_normal():
     assert np.array_equal(state.W, np.zeros((1, 3))) and state.b[0] == 1.0
     assert np.array_equal(state.C, np.zeros((2, 1)))
     assert np.array_equal(state.D[0], pre.mean(axis=1))
-    flat = state.residuals.ravel()
-    assert state.train_mse == float(flat @ flat / 30)
+    r = state.residuals
+    assert state.train_mse == float(np.einsum("ij,ij->", r, r) / 30)
 
 
 def test_train_mse_tracks_residuals_through_kept_and_rejected_replacements():
@@ -410,8 +412,8 @@ def test_train_mse_tracks_residuals_through_kept_and_rejected_replacements():
     state = layer_state(x, y)
 
     def assert_tracked():
-        flat = state.residuals.ravel()
-        assert state.train_mse == float(flat @ flat / state.m)
+        r = state.residuals
+        assert state.train_mse == float(np.einsum("ij,ij->", r, r) / state.m)
 
     assert_tracked()
     kept = rejected = 0
@@ -731,6 +733,33 @@ def test_report_nnz_counts_kept_layers_and_grown_units(monkeypatch):
     assert scored is not None
     for got, expected in zip(scored, want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_report_csv_rows_parse_back_to_their_records(tmp_path):
+    # report.csv's columns are IterationRecord's fields in order and each cell
+    # is its value's repr: ints read back as ints, floats as the same double.
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(240, 3))
+    y = np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0) + 0.05 * rng.normal(size=(240, 1))
+    train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=4))
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, patience=4)
+    _, report = build_network(train, cfg, val_data=val)
+    assert {r.layer for r in report.records} == {1, 2}
+    assert any(r.replacements for r in report.records)
+    path = tmp_path / "report.csv"
+    report.write_csv(str(path))
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == [f.name for f in dataclasses.fields(IterationRecord)]
+    assert len(rows) == len(report.records)
+    for row, record in zip(rows, report.records):
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            value = getattr(record, name)
+            if type(value) is int:
+                assert int(cell) == value and cell == str(value)
+            else:
+                assert type(value) is float and float(cell) == value
 
 
 def test_report_nnz_and_final_row_under_replacements(monkeypatch):

@@ -7,11 +7,14 @@ benchmark workloads from the seed with PARENT's ``perfbench/workloads.py``,
 then runs ``bannet train`` with each workload's options once per checkout,
 each run in its own subprocess with ``PYTHONPATH=<checkout>/src`` and BLAS on
 one thread. For each workload it prints how many trainings wrote identical
-``model.json``, ``summary.json`` and ``report.csv``, and, for each report
-column that differs, in how many rows and by what largest relative
-difference. It also prints, per checkout, the median and the largest peak
-resident memory of the trainings, each read from its own process, so the
-figures hold the program's peak without the benchmark harness's setup.
+``model.json``, ``summary.json`` and ``report.csv``. It compares the reports
+column by column, matched by header name, and prints for each column both
+sides write that differs in how many rows and by what largest relative
+difference, in how many reports a column is written by one side only, and in
+how many the row counts differ. It also prints, per checkout, the median and
+the largest peak resident memory of the trainings, each read from its own
+process, so the figures hold the program's peak without the benchmark
+harness's setup.
 
 It also makes the ``eval_regions`` inputs (a fixed model and its CSV rows)
 with PARENT's workload, runs ``bannet evaluate`` and ``bannet bounds`` on
@@ -36,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 WORKLOADS = ("plant_deep", "rows_multi", "plant_headline")
 FILES = ("model.json", "summary.json", "report.csv")
@@ -85,22 +89,28 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
-def report_differences(a: bytes, b: bytes, columns: dict[str, list]) -> None:
-    """Add to COLUMNS, per report column, [rows that differ, rows, largest relative difference]."""
-    rows_a = list(csv.reader(io.StringIO(a.decode())))
-    rows_b = list(csv.reader(io.StringIO(b.decode())))
-    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
-        entry = columns.setdefault("(header or row count)", [0, 0, math.inf])
-        entry[0] += 1
-        entry[1] += 1
-        return
-    for j, name in enumerate(rows_a[0]):
+def report_differences(a: bytes, b: bytes, columns: dict[str, list], notes: Counter) -> None:
+    """Compare two reports column by column, matched by header name. Adds to
+    COLUMNS, per column both sides write, [rows that differ, rows compared,
+    largest relative difference] over the rows both have, in order. Counts in
+    NOTES a report whose row counts differ and each column one side lacks."""
+    (head_a, *rows_a), (head_b, *rows_b) = (
+        list(csv.reader(io.StringIO(text.decode()))) for text in (a, b)
+    )
+    if len(rows_a) != len(rows_b):
+        notes["row count differs"] += 1
+    for side, own, other in (("parent", head_a, head_b), ("change", head_b, head_a)):
+        notes.update(f"column {name} only in {side}" for name in own if name not in other)
+    for i, name in enumerate(head_a):
+        if name not in head_b:
+            continue
+        j = head_b.index(name)
         entry = columns.setdefault(name, [0, 0, 0.0])
-        for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for row_a, row_b in zip(rows_a, rows_b):
             entry[1] += 1
-            if row_a[j] == row_b[j]:
+            if row_a[i] == row_b[j]:
                 continue
-            x, y = float(row_a[j]), float(row_b[j])
+            x, y = float(row_a[i]), float(row_b[j])
             entry[0] += 1
             rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
             entry[2] = max(entry[2], math.inf if math.isnan(rel) else rel)
@@ -113,6 +123,7 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     workload.setup(seed, data_dir)
     identical = dict.fromkeys(FILES, 0)
     columns: dict[str, list] = {}
+    notes: Counter = Counter()
     failures = 0
     peaks: tuple[list[float], list[float]] = ([], [])
     for path in workload.paths:
@@ -131,7 +142,7 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
             files = [{f: _read(os.path.join(out, f)) for f in FILES} for out in outs]
             for f in FILES:
                 identical[f] += files[0][f] == files[1][f]
-            report_differences(files[0]["report.csv"], files[1]["report.csv"], columns)
+            report_differences(files[0]["report.csv"], files[1]["report.csv"], columns, notes)
         for out in outs:
             shutil.rmtree(out, ignore_errors=True)
     runs = len(workload.paths)
@@ -141,6 +152,8 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     for side, side_peaks in zip(("parent", "change"), peaks):
         print(f"  {side} peak RSS: median {statistics.median(side_peaks):.2f} MB, "
               f"largest {max(side_peaks):.2f} MB")
+    for note, reports in notes.items():
+        print(f"  report.csv {note}: {reports} of {runs - failures} reports")
     for column, (differ, rows, rel) in columns.items():
         if differ:
             print(f"  report.csv {column}: {differ} of {rows} rows differ, "
