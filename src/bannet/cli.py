@@ -74,7 +74,7 @@ class RunManifest:
 
 
 # Settings that older manifests record; such a manifest reruns at these values only.
-_FIXED_SETTINGS = {"min_layer_gain": 0.0, "replace_cap": TrainConfig.replace_cap,
+_FIXED_SETTINGS = {"min_layer_gain": 0.0, "replace_cap": 10,
                    "divisor": LassoConfig.divisor, "max_halvings": LassoConfig.max_divisions,
                    "cd_tol": LassoConfig.kkt_slack, "cd_max_iters": LassoConfig.max_steps}
 

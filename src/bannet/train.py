@@ -9,23 +9,23 @@ mean residuals on each side. Subtracting the unit's contribution from the
 residuals makes the training error drop at every accepted addition, and from
 the second unit on the realized drop equals sum_j (c_j^2 - d_j^2).
 
-A remove-replace pass refits the oldest units against current residuals and
-keeps a replacement only when the training error strictly decreases. Deeper
-layers train on the +/-1 activation patterns of the frozen layers below, with
-residuals reset to the original labels.
+After each unit the layer's output head is refitted by least squares on the
+constant and the +/-1 sides of all grown units (the totally corrective step of
+boosting); its bias keeps the residual total at zero. Deeper layers train on
+the +/-1 patterns of the frozen layers below, with residuals reset to the labels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SolverError, TrainingAbort, ZeroWeightVector
 from .model import (
     SIGN,
+    BLOCK_VALUES,
     BannModel,
     Dataset,
     LayerParams,
@@ -40,12 +40,10 @@ from .solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Growth limits. After each added unit the replace pass refits at most
-    ``replace_cap`` of the oldest units. Every field but ``replace_cap`` is a setting."""
+    """Growth limits; every field is a setting."""
 
     max_neurons_per_layer: int = 500
     max_hidden_layers: int = 3
-    replace_cap: ClassVar[int] = 10
     patience: int = 20
     lasso: LassoConfig = field(default_factory=LassoConfig)
 
@@ -70,7 +68,7 @@ class IterationRecord:
     lambda_used: float
     nnz: int
     predicted_drop: float
-    replacements: int
+    refit_gain: float
     side_imbalance: float
 
 
@@ -131,12 +129,6 @@ def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
     return float(-(mid if mid > sp[best - 1] else sp[best]))
 
 
-def _side_sums(r: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive- and negative-side sums of (dl, m) residuals for +/-1 sides."""
-    total, signed = r.sum(axis=1), r @ side
-    return (total + signed) / 2.0, (total - signed) / 2.0
-
-
 def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form output coefficients: with rho+/- the mean residual on each
     side, c = (rho+ - rho-)/2 and d = (rho+ + rho-)/2 per output coordinate.
@@ -150,17 +142,31 @@ def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.
     if n_pos == 0 or n_neg == 0:
         d = r.mean(axis=1)
         return np.zeros_like(d), d
-    pos, neg = _side_sums(r, side)
-    rho_pos, rho_neg = pos / n_pos, neg / n_neg
+    total, signed = r.sum(axis=1), r @ side
+    rho_pos, rho_neg = (total + signed) / 2.0 / n_pos, (total - signed) / 2.0 / n_neg
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
 
 
-def units_forward(unit: tuple, features: np.ndarray) -> np.ndarray:
-    """Output-major (dl, rows) c * side(x) + d of one unit given as (w, b, c, d)."""
-    w, b, c, d = unit
-    out = np.outer(c, activate(features @ w + b, SIGN))
+def units_forward(c: np.ndarray, d: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Output-major (dl, rows) c * side + d of one unit, given its +/-1 side per row."""
+    out = np.outer(c, side)
     out += d[:, None]
     return out
+
+
+def _side_blocks(sides: np.ndarray):
+    """Column slices of int8 side rows and their float64 copies, BLOCK_VALUES at most."""
+    step = max(1, BLOCK_VALUES // len(sides))
+    for start in range(0, sides.shape[1], step):
+        cols = slice(start, start + step)
+        yield cols, sides[:, cols].astype(float)
+
+
+def _largest_side_sum(sums: np.ndarray) -> float:
+    """Largest absolute residual sum over all rows and either side of every unit,
+    from [1; S] R^T: totals T, then signed sums P_j, so sides sum to (T +- P_j)/2."""
+    total, signed = sums[0], sums[1:]
+    return float(np.max(np.abs(np.vstack([total, (total + signed) / 2, (total - signed) / 2]))))
 
 
 class LayerState:
@@ -176,18 +182,18 @@ class LayerState:
 
     ``residuals`` is output-major, (dl, m) in C order, so per-output passes
     read contiguous rows; optimal_bias and compute_cd take its transpose.
-    ``train_mse`` is their mean square, set whenever they are replaced.
+    ``train_mse`` is their mean square, set whenever they are replaced, and
+    ``targets`` keeps the layer's targets in the same layout.
 
-    The grown units live in place in four arrays, unit k at index k of each:
-    ``W`` (units x p) holds one hyperplane normal per row, ``b`` one bias per
-    unit, ``C`` (dl x units, C order, the layout of the output head's
-    weights) the coefficients c as columns, and ``D`` (units x dl) one row
-    of d per unit. The head's bias is ``D.sum(axis=0)``, summed afresh each
-    time, so it rounds the same however the units came about. A unit fit
-    changes nothing but the penalty schedule; an addition appends its unit,
-    a kept replacement overwrites unit k, and ``val_pred``, the output-major
-    prediction on the validation rows, follows every kept change at once, so
-    residuals, units and ``val_pred`` agree after each one.
+    Unit k lives at index k of ``W`` (units x p, one normal per row), ``b``
+    and ``C`` (dl x units, C order, the output head's weights); ``head_bias``
+    is the head's (dl,) bias. The head's columns [1; S] are the constant and
+    each unit's +/-1 side, kept as int8 rows over the training and validation
+    rows in ``_sides`` and ``_val_sides``. Their Gram matrix G has integer
+    entries, exact in float64; ``_linv`` is the inverse of its lower Cholesky
+    factor and ``_rhs`` is [1; S] targets^T, each grown by a row per unit.
+    ``val_pred``, the output-major validation prediction, follows every kept
+    change at once, so residuals, units, head and ``val_pred`` agree.
     """
 
     def __init__(
@@ -201,6 +207,7 @@ class LayerState:
     ):
         self.features = np.asarray(features, dtype=float)
         self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
+        self.targets = self.residuals  # residuals are replaced, never written in place
         self.m = self.residuals.shape[1]
         self.train_mse = float(np.einsum("ij,ij->", self.residuals, self.residuals) / self.m)
         self.val_features = np.asarray(val_features, dtype=float)
@@ -217,7 +224,10 @@ class LayerState:
         self.W = np.empty((0, self.features.shape[1]))
         self.b = np.empty(0)
         self.C = np.empty((self.residuals.shape[0], 0))
-        self.D = np.empty((0, self.residuals.shape[0]))
+        self.head_bias = np.zeros(self.residuals.shape[0])
+        self._sides, self._val_sides = (np.ones((16, n), np.int8) for n in (self.m, len(vx)))
+        self._linv = np.full((1, 1), 1.0 / math.sqrt(self.m))
+        self._rhs = self.targets.sum(axis=1)[None, :]
 
     def val_mse(self) -> float:
         return squared_error_sums(self.val_pred.T, self.val_targets)[0] / self.val_targets.shape[0]
@@ -239,70 +249,77 @@ class LayerState:
             raise ZeroWeightVector("penalty schedule exhausted with all-zero weights")
         return sched.w
 
-    def _side_imbalance(self, side: np.ndarray) -> float:
-        n_pos = int(np.count_nonzero(side > 0))
-        sides = zip(_side_sums(self.residuals, side), (n_pos, self.m - n_pos))
-        return max(float(np.max(np.abs(s))) for s, n in sides if n)
+    def _add_column(self, side: np.ndarray, val_side: np.ndarray) -> None:
+        """Append a unit's sides as a head column, or raise ZeroWeightVector,
+        changing nothing, when the side lies in the span of the columns."""
+        n = len(self._linv)
+        g = sum(s @ side[cols] for cols, s in _side_blocks(self._sides[:n]))  # exact integers
+        l = self._linv @ g
+        pivot2 = self.m - l @ l  # the squared distance of the side from the span
+        if not pivot2 > 1e-9 * self.m:  # zero up to rounding
+            raise ZeroWeightVector("the unit's side lies in the span of the head's columns")
+        if n == len(self._sides):  # double the capacity
+            self._sides, self._val_sides = (np.vstack([a, a]) for a in (self._sides, self._val_sides))
+        self._sides[n], self._val_sides[n] = side, val_side
+        self._linv = np.pad(self._linv, (0, 1))
+        self._linv[n] = np.append(l @ self._linv[:n, :n], -1.0) / -math.sqrt(pivot2)
+        self._rhs = np.vstack([self._rhs, self.targets @ side])
 
-    def _fit_unit(self, residuals: np.ndarray, intercept: bool = False) -> tuple:
-        """Fit a unit to (dl, m) residuals from one projection onto its normal, zero
-        for an intercept unit; returns (w, b, c, d), row sides, leftover, its mse."""
-        w = np.zeros(self.features.shape[1]) if intercept else self.fit_hyperplane(residuals)
+    def add_neuron(self, intercept: bool = False) -> tuple[float, float]:
+        """Fit a unit from one projection onto its normal and append it with its
+        closed-form c and d; returns (realized drop, predicted drop). An intercept
+        unit, for when no hyperplane can be oriented, has the zero normal: b = 1,
+        every row is positive, d absorbs the residual means, and its side, the
+        head's constant column, adds no column; build_layer adds it only as a
+        lone unit. A fitted unit is not kept (ZeroWeightVector, state as before)
+        when it would raise the training error, its gain lost in round-off, or
+        when its side lies in the span of the head's columns (a duplicated or
+        complemented side, an empty split): the residuals are orthogonal to it."""
+        pre = self.train_mse
+        w = np.zeros(self.features.shape[1]) if intercept else self.fit_hyperplane(self.residuals)
         proj = self.features @ w
-        b = optimal_bias(proj, residuals.T)
+        b = optimal_bias(proj, self.residuals.T)
         side = activate(proj + b, SIGN)
-        c, d = compute_cd(residuals.T, side)
+        c, d = compute_cd(self.residuals.T, side)
         left = np.outer(c, side)
         left += d[:, None]
-        np.subtract(residuals, left, out=left)
-        return (w, b, c, d), side, left, float(np.einsum("ij,ij->", left, left) / self.m)
-
-    def add_neuron(self, intercept: bool = False) -> tuple[float, float, float]:
-        """Fit and append one unit; returns (realized drop, predicted drop,
-        residual side imbalance after the update). An intercept unit, for
-        when no hyperplane can be oriented, has the zero normal: the scan
-        finds no split and gives b = 1, every row is on the positive side and
-        d absorbs the residual means. A fitted unit that would raise the
-        training error, its gain lost in round-off, is not kept:
-        ZeroWeightVector, with residuals and units as before."""
-        pre = self.train_mse
-        (w, b, c, d), side, left, post = self._fit_unit(self.residuals, intercept)
-        if post > pre and not intercept:
-            raise ZeroWeightVector("no hyperplane lowers the training error")
+        np.subtract(self.residuals, left, out=left)
+        post = float(np.einsum("ij,ij->", left, left) / self.m)
+        val_side = activate(self.val_features @ w + b, SIGN)
+        if not intercept:
+            if post > pre:
+                raise ZeroWeightVector("no hyperplane lowers the training error")
+            self._add_column(side, val_side)
         self.residuals, self.train_mse = left, post
         self.W = np.vstack([self.W, w])
         self.b = np.append(self.b, b)
         self.C = np.hstack([self.C, c[:, None]])
-        self.D = np.vstack([self.D, d])
-        self.val_pred += units_forward((w, b, c, d), self.val_features)
-        return pre - post, float(np.sum(c * c - d * d)), self._side_imbalance(side)
+        self.head_bias = self.head_bias + d
+        self.val_pred += units_forward(c, d, val_side)
+        return pre - post, float(np.sum(c * c - d * d))
 
-    def replace_pass(self, cap: int) -> tuple[int, float]:
-        """Refit the oldest units one by one, each against the current
-        residuals with its own output added back. A refit is kept only if
-        the training error strictly decreases; the first non-improving
-        attempt leaves unit k as it was and ends the pass. At most
-        min(t-1, cap) attempts. A kept refit moves the validation prediction
-        at once, from unit k's output to the refit's."""
-        accepted, worst_imbalance = 0, 0.0
-        for k in range(min(len(self.b) - 1, cap)):
-            # Views of unit k: read them before unit k is overwritten.
-            old = (self.W[k], self.b[k], self.C[:, k], self.D[k])
-            residuals = units_forward(old, self.features)
-            residuals += self.residuals
-            try:
-                unit, side, left, post = self._fit_unit(residuals)
-            except ZeroWeightVector:
-                break
-            if not post < self.train_mse:
-                break
-            self.val_pred -= units_forward(old, self.val_features)
-            self.residuals, self.train_mse = left, post
-            self.W[k], self.b[k], self.C[:, k], self.D[k] = unit
-            self.val_pred += units_forward(unit, self.val_features)
-            accepted += 1
-            worst_imbalance = max(worst_imbalance, self._side_imbalance(side))
-        return accepted, worst_imbalance
+    def replace_pass(self) -> tuple[float, float]:
+        """Refit C and ``head_bias`` by least squares on [1; S], G beta = [1; S]
+        targets^T, with residuals and ``val_pred``, if that strictly lowers the
+        training error; a lone unit's c and d already are that fit. Returns the
+        gain, 0 if not kept, and the largest residual sum after it (see
+        _largest_side_sum). The benchmark's tracer wraps this name."""
+        n = len(self._linv)
+        if len(self.b) > 1:
+            beta = self._linv.T @ (self._linv @ self._rhs)  # (n, dl)
+            left, sums = np.empty_like(self.residuals), np.zeros((n, len(self.residuals)))
+            for cols, s in _side_blocks(self._sides[:n]):
+                np.subtract(self.targets[:, cols], beta.T @ s, out=left[:, cols])
+                sums += s @ left[:, cols].T
+            post = float(np.einsum("ij,ij->", left, left) / self.m)
+            if post < self.train_mse:
+                gain, self.residuals, self.train_mse = self.train_mse - post, left, post
+                self.C, self.head_bias = np.ascontiguousarray(beta[1:].T), beta[0]
+                for cols, s in _side_blocks(self._val_sides[:n]):
+                    self.val_pred[:, cols] = beta.T @ s
+                return gain, _largest_side_sum(sums)
+        sums = sum(s @ self.residuals[:, cols].T for cols, s in _side_blocks(self._sides[:n]))
+        return 0.0, _largest_side_sum(sums)
 
 
 @dataclass
@@ -348,27 +365,25 @@ def build_layer(
 
     for t in range(1, cfg.max_neurons_per_layer + 1):
         try:
-            drop, predicted, imbalance = state.add_neuron()
+            drop, predicted = state.add_neuron()
         except ZeroWeightVector:
             if t > 1:
                 break
-            drop, predicted, imbalance = state.add_neuron(intercept=True)
+            drop, predicted = state.add_neuron(intercept=True)
             aborted = True
-        # A lone unit has nothing to replace, so an intercept unit stays.
-        replacements, repl_imbalance = state.replace_pass(cfg.replace_cap)
-        head_b = state.D.sum(axis=0)
+        refit_gain, imbalance = state.replace_pass()
         record = IterationRecord(
             layer=layer_index, t=t, train_mse=state.train_mse, val_mse=state.val_mse(),
-            drop=drop, predicted_drop=predicted, replacements=replacements,
-            lambda_used=state.current_lambda, side_imbalance=max(imbalance, repl_imbalance),
-            nnz=frozen_nnz + count_nonzero(state.W, state.b, state.C, head_b),
+            drop=drop, predicted_drop=predicted, refit_gain=refit_gain,
+            lambda_used=state.current_lambda, side_imbalance=imbalance,
+            nnz=frozen_nnz + count_nonzero(state.W, state.b, state.C, state.head_bias),
         )
         if records is not None:
             records.append(record)
 
         if best is None or record.val_mse < best[0].val_mse:
-            # LayerParams copies, so later replacements leave the kept units alone.
-            best = record, LayerParams(state.W, state.b), LayerParams(state.C, head_b)
+            # LayerParams copies, so later units and head fits leave the kept ones alone.
+            best = record, LayerParams(state.W, state.b), LayerParams(state.C, state.head_bias)
             bad_streak = 0
         else:
             bad_streak += 1
@@ -433,7 +448,7 @@ def build_network(
     # The kept record's layer, t and nnz describe the returned model as they stand.
     report.records.append(replace(
         incumbent.record, train_mse=report.final_train_mse, val_mse=report.final_val_mse,
-        drop=0.0, predicted_drop=0.0, replacements=0, lambda_used=current_lambda,
+        drop=0.0, predicted_drop=0.0, refit_gain=0.0, lambda_used=current_lambda,
         side_imbalance=0.0,
     ))
     return model, report

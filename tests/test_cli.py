@@ -47,7 +47,7 @@ def test_train_staircase_end_to_end(tmp_path, capsys):
     assert (out / "model.json").exists() and (out / "report.csv").exists()
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == ("layer,t,train_mse,val_mse,drop,lambda_used,nnz,"
-                      "predicted_drop,replacements,side_imbalance")
+                      "predicted_drop,refit_gain,side_imbalance")
 
 
 def test_train_constant_labels(tmp_path):

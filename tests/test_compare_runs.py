@@ -1,4 +1,4 @@
-"""tools/compare_runs.py matches report columns by header name."""
+"""tools/compare_runs.py matches report columns by header name and summarizes model quality."""
 
 import importlib.util
 import os
@@ -26,3 +26,16 @@ def test_report_columns_are_compared_by_name():
     })
     compare_runs.report_differences(parent, parent, columns, notes)
     assert columns["nnz"] == [1, 4, 0.2] and notes["row count differs"] == 1
+
+
+def test_quality_lines_give_medians_and_how_many_the_change_moves():
+    pairs = [
+        ({"test_mse": 2.0, "nonzero_parameters": 10}, {"test_mse": 1.5, "nonzero_parameters": 10}),
+        ({"test_mse": 3.0, "nonzero_parameters": 20}, {"test_mse": 3.5, "nonzero_parameters": 8}),
+        ({"test_mse": 4.0, "nonzero_parameters": 30}, {"test_mse": 1.0, "nonzero_parameters": 6}),
+    ]
+    assert compare_runs.quality_lines(pairs) == [
+        "  test_mse: median parent 3, change 1.5; change lower in 2, higher in 1 of 3",
+        "  nonzero_parameters: median parent 20, change 8; change lower in 2, higher in 0 of 3",
+    ]
+    assert compare_runs.quality_lines([]) == []

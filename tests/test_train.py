@@ -27,6 +27,7 @@ from bannet.train import (
     IterationRecord,
     LayerState,
     TrainConfig,
+    _largest_side_sum,
     build_layer,
     build_network,
     compute_cd,
@@ -39,46 +40,34 @@ def unit_side(features, w, b):
     return np.where(features @ w + b < 0, -1.0, 1.0)
 
 
-def state_units(state):
-    """The grown units of a LayerState as a list of (w, b, c, d), one per unit."""
-    return [(state.W[k], state.b[k], state.C[:, k], state.D[k]) for k in range(len(state.b))]
-
-
 def state_arrays(state):
-    """Everything a unit change may write: residuals, units, validation prediction."""
-    return state.residuals, state.W, state.b, state.C, state.D, state.val_pred
+    """Everything a unit change or head fit may write: residuals, units, head,
+    validation prediction and the head's columns with their factor."""
+    n = len(state._linv)
+    return (state.residuals, state.W, state.b, state.C, state.head_bias, state.val_pred,
+            state._sides[:n], state._val_sides[:n], state._linv, state._rhs)
 
 
-def units_prediction(units, features):
-    """Prediction of a unit list alone: sum_t c_t * side_t(x) + d_t."""
-    pred = np.zeros((features.shape[0], len(units[0][2])))
-    for w, b, c, d in units:
-        pred += unit_side(features, w, b)[:, None] * c + d
-    return pred
+def head_prediction(arrays, features):
+    """Prediction of units (W, b) under the head (C, head bias): bias + sum_k C_k side_k(x)."""
+    W, b, C, head_b = arrays
+    sides = np.array([unit_side(features, w, bk) for w, bk in zip(W, b)]).reshape(len(b), -1)
+    return (C @ sides).T + head_b
 
 
 def capture_layer_arrays(monkeypatch):
-    """Record (W, b, C, D.sum(axis=0)) of every LayerState after each replace pass,
+    """Record (W, b, C, head bias) of every LayerState after each head refit,
     that is, the units and head of each growth record."""
     captured = []
     replace_pass = LayerState.replace_pass
 
-    def recording(self, cap):
-        out = replace_pass(self, cap)
-        captured.append(tuple(a.copy() for a in (self.W, self.b, self.C, self.D.sum(axis=0))))
+    def recording(self):
+        out = replace_pass(self)
+        captured.append(tuple(a.copy() for a in (self.W, self.b, self.C, self.head_bias)))
         return out
 
     monkeypatch.setattr(LayerState, "replace_pass", recording)
     return captured
-
-
-def pack_units(units):
-    """Layer weights plus the linear head (C, sum of d) of a unit list."""
-    weights = np.array([w for w, _, _, _ in units])
-    biases = np.array([b for _, b, _, _ in units])
-    head_w = np.array([c for _, _, c, _ in units], order="F").T  # (dl, width), C order
-    head_b = np.sum([d for _, _, _, d in units], axis=0)
-    return LayerParams(weights, biases), head_w, head_b
 
 
 def split_objective(proj, residuals, b):
@@ -327,7 +316,8 @@ def test_fit_hyperplane_raises_on_non_converged_solve(monkeypatch):
 def test_add_neuron_zeroes_residual_sums():
     rng = np.random.default_rng(5)
     state = layer_state(rng.normal(size=(40, 3)), rng.normal(size=(40, 2)))
-    drop, predicted, imbalance = state.add_neuron()
+    state.add_neuron()
+    _, imbalance = state.replace_pass()
     assert imbalance <= 1e-9 * 40
     # total residual sum is zero once d has absorbed the side means
     assert np.max(np.abs(state.residuals.sum(axis=1))) <= 1e-9 * 40
@@ -352,44 +342,54 @@ def test_add_neuron_drop_matches_presplit_identity():
 
 
 def test_add_neuron_drop_equals_cd_identity_from_second_unit():
+    # The head bias keeps the residual total at zero through every head refit,
+    # so the identity holds for each unit added after one.
     rng = np.random.default_rng(7)
     state = layer_state(rng.normal(size=(60, 4)), rng.normal(size=(60, 2)))
     state.add_neuron()
+    state.replace_pass()
     for _ in range(5):
         pre = state.train_mse
-        drop, predicted, _ = state.add_neuron()
+        drop, predicted = state.add_neuron()
         assert drop == pytest.approx(predicted, rel=1e-9, abs=1e-12)
         assert state.train_mse < pre
+        state.replace_pass()
 
 
 def test_side_imbalance_matches_masked_sums():
     rng = np.random.default_rng(22)
+
+    def masked(r, sides):
+        return max(float(np.max(np.abs(r[:, mask].sum(axis=1))))
+                   for side in sides for mask in (side > 0, side < 0) if mask.any())
+
+    # From [1; S] R^T of arbitrary residuals and sides; the all-positive and
+    # all-negative sides have the total as their one nonempty side.
+    r = rng.normal(size=(2, 50))
+    sides = np.vstack([np.ones(50), -np.ones(50), np.where(rng.normal(size=(3, 50)) < 0, -1.0, 1.0)])
+    got = _largest_side_sum(np.vstack([np.ones(50), sides]) @ r.T)
+    assert got == pytest.approx(masked(r, sides), rel=1e-12)
+    # After a head refit: over the total and both sides of every grown unit.
     state = layer_state(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
     for _ in range(3):
         state.add_neuron()
-    sides = [unit_side(state.features, w, b) for w, b in zip(state.W, state.b)]
-    sides += [np.ones(50), -np.ones(50), np.where(rng.normal(size=50) < 0, -1.0, 1.0)]
-    tol = 1e-12 * np.abs(state.residuals).sum()
-    for side in sides:
-        want = max(
-            float(np.max(np.abs(state.residuals[:, mask].sum(axis=1))))
-            for mask in (side > 0, side < 0)
-            if mask.any()
-        )
-        assert state._side_imbalance(side) == pytest.approx(want, rel=1e-12, abs=tol)
+        _, imbalance = state.replace_pass()
+    r = state.residuals
+    unit_sides = [np.ones(50)] + [unit_side(state.features, w, b) for w, b in zip(state.W, state.b)]
+    assert imbalance == pytest.approx(masked(r, unit_sides), rel=1e-12, abs=1e-12 * np.abs(r).sum())
 
 
 def test_add_neuron_refuses_a_unit_that_raises_the_error(monkeypatch):
     rng = np.random.default_rng(24)
     state = layer_state(rng.normal(size=(30, 2)), rng.normal(size=(30, 1)))
     state.add_neuron()
-    before = state.residuals.copy(), state.val_pred.copy()
+    before = [a.copy() for a in state_arrays(state)]
     # coefficients that shift every residual away from its zero mean
     monkeypatch.setattr("bannet.train.compute_cd", lambda r, side: (np.zeros(1), np.ones(1)))
     with pytest.raises(ZeroWeightVector):
         state.add_neuron()
-    assert np.array_equal(state.residuals, before[0])
-    assert np.array_equal(state.val_pred, before[1])
+    for got, want in zip(state_arrays(state), before):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert len(state.b) == 1
 
 
@@ -400,9 +400,74 @@ def test_add_neuron_intercept_unit_is_the_zero_normal():
     state.add_neuron(intercept=True)
     assert np.array_equal(state.W, np.zeros((1, 3))) and state.b[0] == 1.0
     assert np.array_equal(state.C, np.zeros((2, 1)))
-    assert np.array_equal(state.D[0], pre.mean(axis=1))
+    assert np.array_equal(state.head_bias, pre.mean(axis=1))
+    # Its side is the head's constant column, so it adds no column.
+    assert len(state._linv) == 1
     r = state.residuals
     assert state.train_mse == float(np.einsum("ij,ij->", r, r) / 30)
+
+
+@pytest.mark.parametrize("kind", ["constant", "duplicate", "complement"])
+def test_unit_with_side_in_the_span_is_not_kept(monkeypatch, kind):
+    # Three units without head refits leave residuals whose sums on the first
+    # unit's sides are not zero, so a unit on those sides would lower the error;
+    # its side is in the span of the head's columns, so it is not kept.
+    # At the first unit the residuals are the targets, whose mean is not zero,
+    # so an all-positive side, the intercept-abort unit's, would lower the error.
+    rng = np.random.default_rng(31)
+    state = layer_state(rng.normal(size=(80, 3)), rng.normal(size=(80, 2)) + 1.0)
+    for _ in range(0 if kind == "constant" else 3):
+        state.add_neuron()
+    w0, b0 = (state.W[0].copy(), state.b[0]) if len(state.b) else (np.ones(3), 0.0)
+    normal, bias = {"constant": (w0, 1.0 - np.min(state.features @ w0)),
+                    "duplicate": (w0, b0), "complement": (-w0, -b0)}[kind]
+    side = unit_side(state.features, normal, bias)
+    want = {"constant": np.ones(80), "duplicate": unit_side(state.features, w0, b0),
+            "complement": -unit_side(state.features, w0, b0)}[kind]
+    assert np.array_equal(side, want)
+    c, d = compute_cd(state.residuals.T, side)
+    left = state.residuals - (np.outer(c, side) + d[:, None])
+    assert np.sum(left * left) < np.sum(state.residuals * state.residuals)
+    before = [a.copy() for a in state_arrays(state)]
+    pre = state.train_mse
+    monkeypatch.setattr(state, "fit_hyperplane", lambda residuals: normal)
+    monkeypatch.setattr("bannet.train.optimal_bias", lambda proj, residuals: bias)
+    with pytest.raises(ZeroWeightVector, match="span"):
+        state.add_neuron()
+    for got, want in zip(state_arrays(state), before):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if kind == "constant":  # build_layer's fallback, which adds no column
+        state.add_neuron(intercept=True)
+    gain, imbalance = state.replace_pass()
+    assert state.train_mse <= pre and imbalance <= 1e-9 * 80
+    assert (gain > 0) == (kind != "constant")
+    assert np.all(np.isfinite(state.C)) and np.all(np.isfinite(state.val_pred))
+
+
+def test_intercept_unit_head_stays_finite():
+    # The intercept-abort unit's side equals the constant column; the lone
+    # unit's head is not refitted, so no singular solve runs.
+    x = np.random.default_rng(10).normal(size=(20, 3))
+    state = layer_state(x, np.full((20, 1), 5.0))
+    with pytest.raises(ZeroWeightVector):
+        state.add_neuron()
+    state.add_neuron(intercept=True)
+    pre = state.train_mse
+    assert state.replace_pass() == (0.0, pytest.approx(0.0, abs=1e-9 * 20))
+    assert state.train_mse == pre and np.array_equal(state.head_bias, [5.0])
+
+
+def test_layer_width_is_bounded_by_distinct_rows():
+    # The sides of rows that repeat span at most one dimension per distinct
+    # training row, and the constant takes one, so no layer can grow past
+    # the distinct rows less one (the replace pass grew 500 units here).
+    rng = np.random.default_rng(0)
+    x = np.repeat(rng.normal(size=(20, 3)), 10, axis=0)
+    y = np.sin(x[:, :1]) + x[:, 1:2] * x[:, 2:3]
+    train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=0))
+    distinct = len(np.unique(train.features, axis=0))
+    _, report = build_network(train, TrainConfig(), val_data=val)
+    assert max(r.t for r in report.records) <= distinct - 1
 
 
 def test_train_mse_tracks_residuals_through_kept_and_rejected_replacements():
@@ -420,11 +485,13 @@ def test_train_mse_tracks_residuals_through_kept_and_rejected_replacements():
     for _ in range(6):
         state.add_neuron()
         assert_tracked()
-        attempts = min(len(state.b) - 1, 10)
-        accepted, _ = state.replace_pass(10)
+        # A wrong right-hand side makes a refit that raises the error.
+        rhs, state._rhs = state._rhs, 2.0 * state._rhs
+        rejected += state.replace_pass()[0] == 0.0
+        state._rhs = rhs
         assert_tracked()
-        kept += accepted
-        rejected += accepted < attempts
+        kept += state.replace_pass()[0] > 0
+        assert_tracked()
     assert kept >= 1 and rejected >= 1
 
 
@@ -432,40 +499,46 @@ def test_replace_pass_noop_with_single_unit():
     rng = np.random.default_rng(8)
     state = layer_state(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)))
     state.add_neuron()
-    accepted, _ = state.replace_pass(10)
-    assert accepted == 0
+    before = [a.copy() for a in state_arrays(state)]
+    gain, imbalance = state.replace_pass()
+    assert gain == 0.0 and imbalance <= 1e-9 * 20
+    for got, want in zip(state_arrays(state), before):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_replace_pass_rejects_fixed_point_and_restores(monkeypatch):
-    # second unit contributes nothing; refitting the first reproduces it, so
-    # the training error cannot strictly decrease and the pass stops
-    features = np.array([[0.0], [1.0], [2.0], [3.0]])
-    state = layer_state(features, np.array([[0.0], [0.0], [8.0], [8.0]]))
+def test_replace_pass_rejects_fixed_point_and_restores():
+    # On the balanced cube the greedy units are orthogonal, so the greedy head
+    # already is the least-squares fit: a refit gains nothing beyond rounding.
+    x, y = planted_cube()
+    state = layer_state(x, y)
     state.add_neuron()
-    assert state.train_mse == pytest.approx(0.0, abs=1e-20)
-    state.W = np.vstack([state.W, [1.0]])
-    state.b = np.append(state.b, -0.5)
-    state.C = np.hstack([state.C, np.zeros((1, 1))])
-    state.D = np.vstack([state.D, np.zeros(1)])
+    state.add_neuron()
+    assert state.train_mse == pytest.approx(1.0, rel=1e-12)
+    gain, _ = state.replace_pass()
+    assert 0.0 <= gain <= 1e-12
+    # A refit that does not strictly lower the training error leaves every
+    # array bit for bit as it was: here a wrong right-hand side forces one.
     units = [a.copy() for a in state_arrays(state)]
-    # A rejected refit leaves every unit bit for bit as it was, also when the
-    # refit's coefficients differ from the unit's: these shift every residual.
-    for cd in (compute_cd, lambda r, side: (np.zeros(1), np.ones(1))):
-        monkeypatch.setattr("bannet.train.compute_cd", cd)
-        accepted, _ = state.replace_pass(10)
-        assert accepted == 0
+    rhs = state._rhs.copy()
+    for wrong in (2.0 * rhs, rhs + 1.0):
+        state._rhs = wrong
+        assert state.replace_pass()[0] == 0.0
+        state._rhs = rhs
         for got, want in zip(state_arrays(state), units):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_replace_pass_solver_error_changes_no_unit(monkeypatch):
-    # A solve that fails while unit 0 is refitted, with its output added back
-    # to the residuals, leaves the residuals, the units and the validation
+def test_solver_error_after_kept_refits_changes_no_unit(monkeypatch):
+    # A solve that fails while a unit is fitted after kept head refits leaves
+    # the residuals, the units, the head, its columns and the validation
     # prediction bit for bit as they were.
     rng = np.random.default_rng(25)
     state = layer_state(rng.normal(size=(60, 3)), rng.normal(size=(60, 2)))
+    gains = []
     for _ in range(4):
         state.add_neuron()
+        gains.append(state.replace_pass()[0])
+    assert sum(g > 0 for g in gains) >= 1
     before = [a.copy() for a in state_arrays(state)]
 
     def failing(*args):
@@ -473,14 +546,14 @@ def test_replace_pass_solver_error_changes_no_unit(monkeypatch):
 
     monkeypatch.setattr("bannet.train.scheduled_lasso_fit", failing)
     with pytest.raises(SolverError):
-        state.replace_pass(10)
+        state.add_neuron()
     for got, want in zip(state_arrays(state), before):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_replace_pass_solver_error_after_kept_refit_leaves_state_consistent(monkeypatch):
-    # The first refit is kept and the second solve fails: residuals and the
-    # validation prediction must both follow the units as they now are.
+def test_kept_refits_leave_state_consistent():
+    # After every unit and every kept head refit, the residuals and the
+    # validation prediction both follow the units and the head as they are.
     def three_levels(rng, m):
         x = np.sort(rng.uniform(0, 1, m))[:, None]
         y = np.where(x < 0.31, 0.0, np.where(x < 0.67, 6.0, 1.0))
@@ -489,26 +562,18 @@ def test_replace_pass_solver_error_after_kept_refit_leaves_state_consistent(monk
     rng = np.random.default_rng(0)
     (x, y), (val_x, val_y) = three_levels(rng, 60), three_levels(rng, 30)
     state = LayerState(x, y, val_x, val_y, LassoConfig(), 1e5)
-    for _ in range(4):
-        state.add_neuron()
-    first = [np.copy(a) for a in state_units(state)[0]]
-    calls = []
-
-    def failing_second(*args):
-        calls.append(1)
-        fit = scheduled_lasso_fit(*args)
-        return dataclasses.replace(fit, converged=False) if len(calls) == 2 else fit
-
-    monkeypatch.setattr("bannet.train.scheduled_lasso_fit", failing_second)
-    with pytest.raises(SolverError):
-        state.replace_pass(10)
-    assert len(calls) == 2
-    assert not all(np.array_equal(a, b) for a, b in zip(state_units(state)[0], first))
-    val_want = units_prediction(state_units(state), val_x)
-    scale = np.max(np.abs(val_want))
-    assert np.max(np.abs(state.val_pred.T - val_want)) <= 1e-12 * scale
-    train_want = y - units_prediction(state_units(state), x)
-    assert np.max(np.abs(state.residuals.T - train_want)) <= 1e-12 * np.max(np.abs(y))
+    kept = 0
+    for step in range(8):
+        if step % 2:
+            kept += state.replace_pass()[0] > 0
+        else:
+            state.add_neuron()
+        arrays = (state.W, state.b, state.C, state.head_bias)
+        val_want = head_prediction(arrays, val_x)
+        assert np.max(np.abs(state.val_pred.T - val_want)) <= 1e-12 * np.max(np.abs(val_want))
+        train_want = y - head_prediction(arrays, x)
+        assert np.max(np.abs(state.residuals.T - train_want)) <= 1e-12 * np.max(np.abs(y))
+    assert kept >= 1
 
 
 def test_replace_pass_improves_suboptimal_greedy_order():
@@ -518,15 +583,39 @@ def test_replace_pass_improves_suboptimal_greedy_order():
         x = np.sort(rng.uniform(0, 1, 50))[:, None]
         y = np.where(x < 0.31, 0.0, np.where(x < 0.67, 6.0, 1.0)) + 0.05 * rng.normal(size=(50, 1))
         state = layer_state(x, y)
-        for _ in range(3):
+        # Greedy units on nested splits are not orthogonal, so their closed-form
+        # c and d are not the least-squares head.
+        for _ in range(2):
             state.add_neuron()
         before = state.train_mse
-        state.replace_pass(10)
+        state.replace_pass()
         after = state.train_mse
         assert after <= before + 1e-15
         if after < before - 1e-12 * max(1.0, before):
             improved += 1
-    assert improved >= 1
+    assert improved == 5
+
+
+@pytest.mark.parametrize("dl", [1, 3])
+def test_head_matches_least_squares_oracle(monkeypatch, dl):
+    # After every growth record the head is the least-squares fit of the
+    # targets on the constant and the sides of the grown units.
+    captured = capture_layer_arrays(monkeypatch)
+    for seed in range(4):
+        rng = np.random.default_rng([32, seed])
+        x, val_x = rng.normal(size=(300, 4)), rng.normal(size=(100, 4))
+        mix = rng.normal(size=(4, dl))
+        y = np.sin(2 * x) @ mix + x[:, :1] * x[:, 1:2] + 0.1 * rng.normal(size=(300, dl))
+        val_y = np.sin(2 * val_x) @ mix + val_x[:, :1] * val_x[:, 1:2]
+        captured.clear()
+        cfg = TrainConfig(max_neurons_per_layer=30, max_hidden_layers=1, patience=30)
+        build_layer(x, y, val_x, val_y, cfg)
+        assert len(captured) >= 10
+        for W, b, C, head_b in captured:
+            design = np.column_stack([np.ones(300)] + [unit_side(x, w, bk) for w, bk in zip(W, b)])
+            want, *_ = np.linalg.lstsq(design, y, rcond=None)
+            got = np.vstack([head_b, C.T])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def planted_cube(reps=6):
@@ -567,8 +656,8 @@ def test_build_layer_patience_one_stops_at_width_one():
 
 
 def test_build_layer_validation_error_matches_recompute(monkeypatch):
-    # Validation predictions are updated by the units that changed; every
-    # record's val_mse must agree with predicting from that step's units.
+    # Validation predictions follow every unit and head change; every
+    # record's val_mse must agree with predicting from that step's units and head.
     rng = np.random.default_rng(23)
     x, val_x = rng.normal(size=(400, 4)), rng.normal(size=(200, 4))
 
@@ -577,27 +666,19 @@ def test_build_layer_validation_error_matches_recompute(monkeypatch):
 
     y = labels(x) + 0.1 * rng.normal(size=(400, 2))
     val_y = labels(val_x) + 0.1 * rng.normal(size=(200, 2))
-    steps = []
-    replace_pass = LayerState.replace_pass
-
-    def recording(self, cap):
-        out = replace_pass(self, cap)
-        steps.append([tuple(a.copy() for a in unit) for unit in state_units(self)])
-        return out
-
-    monkeypatch.setattr(LayerState, "replace_pass", recording)
+    steps = capture_layer_arrays(monkeypatch)
     records = []
     cfg = TrainConfig(max_neurons_per_layer=40, max_hidden_layers=1, patience=40)
     build_layer(x, y, val_x, val_y, cfg, records=records)
     assert len(records) == len(steps) == 40
-    assert sum(r.replacements for r in records) >= 10
-    for units, r in zip(steps, records):
-        want = squared_error_sums(units_prediction(units, val_x), val_y)[0] / 200
+    assert sum(r.refit_gain > 0 for r in records) >= 10
+    for arrays, r in zip(steps, records):
+        want = squared_error_sums(head_prediction(arrays, val_x), val_y)[0] / 200
         assert r.val_mse == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
-    # Replacements overwrite units in place; the network kept at the best
+    # Head refits overwrite the head in place; the network kept at the best
     # validation record must be the one that record scored, bit for bit.
     rng = np.random.default_rng(2)
     x, val_x = rng.normal(size=(200, 3)), rng.normal(size=(100, 3))
@@ -608,7 +689,7 @@ def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
     cfg = TrainConfig(max_neurons_per_layer=30, max_hidden_layers=1, patience=8)
     result = build_layer(x, y, val_x, val_y, cfg, records=records)
     assert len(captured) == len(records)
-    assert sum(r.replacements for r in records[result.width:]) >= 1
+    assert sum(r.refit_gain > 0 for r in records[result.width:]) >= 1
     last, head = result.network.hidden[-1], result.network.output
     got = (last.weights, last.biases, head.weights, head.biases)
     for a, b in zip(got, captured[result.width - 1], strict=True):
@@ -692,20 +773,19 @@ def test_train_config_validation():
         TrainConfig(max_hidden_layers=0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
-    with pytest.raises(TypeError):  # the replace pass's cap is fixed, not a setting
+    with pytest.raises(TypeError):  # the old replace pass's cap went with the pass
         TrainConfig(replace_cap=5)
 
 
-def test_report_nnz_counts_kept_layers_and_grown_units(monkeypatch):
-    # Append-only growth (replace_cap 0) never rewrites a unit, so regrowing
-    # each layer from its starting penalty reproduces the units of every
-    # growth record, and the returned model is the network of the record at
-    # the kept width.
+def test_report_nnz_counts_kept_layers_and_grown_units():
+    # Growth is deterministic, so regrowing each layer from its starting
+    # penalty, a unit and a head refit per record, reproduces the units and
+    # head of every growth record, and the returned model is the network of
+    # the record at the kept width.
     rng = np.random.default_rng(16)
     x = rng.normal(size=(240, 3))
     y = np.sin(3 * x[:, :1]) + (x[:, 1:2] > 0) + 0.05 * rng.normal(size=(240, 1))
     train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=4))
-    monkeypatch.setattr(TrainConfig, "replace_cap", 0)
     cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, patience=4)
     model, report = build_network(train, cfg, val_data=val)
     growth = report.records[:-1]
@@ -719,12 +799,13 @@ def test_report_nnz_counts_kept_layers_and_grown_units(monkeypatch):
         state = LayerState(features, train.labels, features, train.labels, cfg.lasso, lam)
         for r in rows:
             state.add_neuron()
-            grown, head_w, head_b = pack_units(state_units(state))
+            state.replace_pass()
+            grown, head_w, head_b = LayerParams(state.W, state.b), state.C, state.head_bias
             partial = BannModel(SIGN, kept + (grown,), LayerParams(head_w, head_b))
             assert r.t == len(state.b)
             assert r.nnz == count_nonzero_parameters(partial)
             if layer == len(model.hidden) and r.t == model.hidden[-1].width:
-                scored = (grown.weights, grown.biases, head_w, head_b)
+                scored = (grown.weights, grown.biases, head_w.copy(), head_b.copy())
         lam = rows[-1].lambda_used
         kept = (model.hidden[0],)
         features = hidden_pattern(model, train.features, 1)
@@ -745,7 +826,7 @@ def test_report_csv_rows_parse_back_to_their_records(tmp_path):
     cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=2, patience=4)
     _, report = build_network(train, cfg, val_data=val)
     assert {r.layer for r in report.records} == {1, 2}
-    assert any(r.replacements for r in report.records)
+    assert any(r.refit_gain > 0 for r in report.records)
     path = tmp_path / "report.csv"
     report.write_csv(str(path))
     with open(path, newline="", encoding="utf-8") as handle:
@@ -763,9 +844,9 @@ def test_report_csv_rows_parse_back_to_their_records(tmp_path):
 
 
 def test_report_nnz_and_final_row_under_replacements(monkeypatch):
-    # At the default replace_cap, units are rewritten in place; each growth
-    # record's nnz counts the kept layers plus the units as they stood after
-    # that record's replace pass, and the final row restates the kept record
+    # Head refits rewrite the head in place; each growth record's nnz counts
+    # the kept layers plus the units and head as they stood after that
+    # record's refit, and the final row restates the kept record
     # with the returned model's errors. At this seed the kept record's
     # incrementally tracked errors differ from the re-scored ones in the last
     # bits, so the final row's exact asserts tell the two apart.
@@ -779,7 +860,7 @@ def test_report_nnz_and_final_row_under_replacements(monkeypatch):
     growth, final = report.records[:-1], report.records[-1]
     assert {r.layer for r in growth} == {1, 2}
     assert len(captured) == len(growth)
-    assert all(sum(r.replacements for r in growth if r.layer == k) >= 1 for k in (1, 2))
+    assert all(sum(r.refit_gain > 0 for r in growth if r.layer == k) >= 1 for k in (1, 2))
     for r, (w, b, c, head_b) in zip(growth, captured):
         kept = () if r.layer == 1 else (model.hidden[0],)
         partial = BannModel(SIGN, kept + (LayerParams(w, b),), LayerParams(c, head_b))

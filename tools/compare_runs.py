@@ -11,10 +11,13 @@ one thread. For each workload it prints how many trainings wrote identical
 column by column, matched by header name, and prints for each column both
 sides write that differs in how many rows and by what largest relative
 difference, in how many reports a column is written by one side only, and in
-how many the row counts differ. It also prints, per checkout, the median and
-the largest peak resident memory of the trainings, each read from its own
-process, so the figures hold the program's peak without the benchmark
-harness's setup.
+how many the row counts differ. For the model quality it prints, from each
+``summary.json``, the median ``test_mse`` and ``nonzero_parameters`` of each
+side and in how many trainings the change lowers or raises each, so a change
+that alters models by design shows what it does to them. It also prints, per
+checkout, the median and the largest peak resident memory of the trainings,
+each read from its own process, so the figures hold the program's peak
+without the benchmark harness's setup.
 
 It also makes the ``eval_regions`` inputs (a fixed model and its CSV rows)
 with PARENT's workload, runs ``bannet evaluate`` and ``bannet bounds`` on
@@ -32,6 +35,7 @@ import argparse
 import csv
 import importlib.util
 import io
+import json
 import math
 import os
 import shutil
@@ -43,6 +47,7 @@ from collections import Counter
 
 WORKLOADS = ("plant_deep", "rows_multi", "plant_headline")
 FILES = ("model.json", "summary.json", "report.csv")
+QUALITY = ("test_mse", "nonzero_parameters")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -116,6 +121,23 @@ def report_differences(a: bytes, b: bytes, columns: dict[str, list], notes: Coun
             entry[2] = max(entry[2], math.inf if math.isnan(rel) else rel)
 
 
+def quality_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """For each QUALITY key of the (parent, change) summaries of the trainings
+    both sides finished: each side's median, and in how many the change's value
+    is lower or higher."""
+    if not pairs:
+        return []
+    lines = []
+    for key in QUALITY:
+        parent, change = ([summary[key] for summary in side] for side in zip(*pairs))
+        lower = sum(c < p for p, c in zip(parent, change))
+        higher = sum(c > p for p, c in zip(parent, change))
+        lines.append(f"  {key}: median parent {statistics.median(parent):.6g}, change "
+                     f"{statistics.median(change):.6g}; change lower in {lower}, higher in "
+                     f"{higher} of {len(parent)}")
+    return lines
+
+
 def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     """Train every dataset of WORKLOAD in both checkouts and print the comparison."""
     data_dir = os.path.join(workdir, name)
@@ -124,6 +146,7 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     identical = dict.fromkeys(FILES, 0)
     columns: dict[str, list] = {}
     notes: Counter = Counter()
+    summaries: list[tuple[dict, dict]] = []
     failures = 0
     peaks: tuple[list[float], list[float]] = ([], [])
     for path in workload.paths:
@@ -143,12 +166,15 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
             for f in FILES:
                 identical[f] += files[0][f] == files[1][f]
             report_differences(files[0]["report.csv"], files[1]["report.csv"], columns, notes)
+            summaries.append(tuple(json.loads(side["summary.json"]) for side in files))
         for out in outs:
             shutil.rmtree(out, ignore_errors=True)
     runs = len(workload.paths)
     print(f"{name}: {runs} trainings, seed {seed}, {failures} failed")
     for f in FILES:
         print(f"  {f} identical: {identical[f]} of {runs}")
+    for line in quality_lines(summaries):
+        print(line)
     for side, side_peaks in zip(("parent", "change"), peaks):
         print(f"  {side} peak RSS: median {statistics.median(side_peaks):.2f} MB, "
               f"largest {max(side_peaks):.2f} MB")
