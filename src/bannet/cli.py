@@ -2,9 +2,10 @@
 emit the constructive demo networks, and reparametrize activations.
 
 Exit codes: 0 success, 1 other failure (such as a lasso solve that reaches
-its step cap), 2 data error, 3 configuration error, 4 training abort (fewer
-than 2 training rows). When no unit can be placed, training keeps the
-one-unit intercept model and exits 0.
+its step cap), 2 data error, 3 configuration error (a manifest written by
+another bannet version included), 4 training abort (fewer than 2 training
+rows). When no unit can be placed, training keeps the one-unit intercept
+model and exits 0.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class RunManifest:
                            lasso=LassoConfig(self.lambda0))
 
 
-# Settings that older manifests record; such a manifest reruns at these values only.
-_FIXED_SETTINGS = {"min_layer_gain": 0.0, "replace_cap": 10,
-                   "divisor": LassoConfig.divisor, "max_halvings": LassoConfig.max_divisions,
-                   "cd_tol": LassoConfig.kkt_slack, "cd_max_iters": LassoConfig.max_steps}
-
-
 def load_manifest(path: str) -> RunManifest:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -87,10 +82,12 @@ def load_manifest(path: str) -> RunManifest:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} must be a JSON object")
-    fixed = {k: doc.pop(k) for k in _FIXED_SETTINGS.keys() & doc.keys()}
-    changed = sorted(k for k, v in fixed.items() if isinstance(v, bool) or v != _FIXED_SETTINGS[k])
-    if changed:
-        raise ConfigError(f"manifest {path} changes settings that are now fixed: {changed}")
+    version = doc.get("software_version", __version__)
+    if not isinstance(version, str):
+        raise DataError(f"manifest {path} has fields of the wrong type: ['software_version']")
+    if version != __version__:
+        raise ConfigError(f"manifest {path} was written by bannet {version}; bannet "
+                          f"{__version__} cannot rerun it byte-for-byte")
     fields = RunManifest.__dataclass_fields__
     unknown = set(doc) - set(fields)
     if unknown:

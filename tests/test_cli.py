@@ -131,8 +131,8 @@ def test_manifest_rerun_reproduces_bytes(tmp_path):
                  "--max-neurons", "25", "--out", str(out1)]) == 0
     assert main(["train", "--from-manifest", str(out1 / "manifest.json"),
                  "--out", str(out2)]) == 0
-    assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
-    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+    for name in ("model.json", "report.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_manifest_of_default_run_rebuilds_default_configs(tmp_path):
@@ -228,52 +228,53 @@ def run_cli_process(argv, **env):
 
 
 def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 3600 training rows of 3 targets: each residual sum of squares runs over
-    # more than the 10 000 values from which OpenBLAS splits a dot product
-    # across threads. The sums feed the report and every accept/reject
-    # decision, so they are reduced in an order no thread count changes.
+    # Six targets on 12 000 training rows: each residual sum of squares runs
+    # over far more than the 10 000 values from which OpenBLAS splits a dot
+    # product across threads, and 60 units take the head's block products to
+    # real widths. The second run, on sign-product targets, grows a second
+    # layer of 60 units on the first layer's +/-1 outputs. The sums feed the
+    # report and every accept/reject decision, so they are reduced in an
+    # order no thread count changes.
     rng = np.random.default_rng(0)
-    x, noise = rng.normal(size=(6000, 8)), rng.normal(size=(6000, 3))
-    y = np.column_stack([np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1] * x[:, 2] + 0.3 * noise[:, 0],
-                         1.5 * x[:, 3] - 2.0 * x[:, 5] + 0.3 * noise[:, 1], noise[:, 2]])
-    data = tmp_path / "rows.csv"
-    np.savetxt(data, np.column_stack([x, y]), fmt="%.17g", delimiter=",", comments="",
-               header=",".join([f"x{j}" for j in range(8)] + ["a", "b", "c"]))
-    outputs = []
-    for threads in ("1", "2"):  # never more threads than a 2-core machine has
-        out = tmp_path / f"threads{threads}"
-        done = run_cli_process(
-            ["train", "--data", str(data), "--labels", "3", "--seed", "1", "--max-layers", "1",
-             "--max-neurons", "3", "--patience", "3", "--out", str(out)],
-            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        assert done.returncode == 0, done.stderr
-        outputs.append({name: (out / name).read_bytes()
-                        for name in ("model.json", "summary.json", "report.csv")})
-    assert outputs[0] == outputs[1]
+    x, noise = rng.normal(size=(20_000, 8)), 0.3 * rng.normal(size=(20_000, 6))
+    s = np.sign(x)
+    smooth = np.column_stack([np.sin(2.0 * x[:, 0]) + 0.5 * x[:, 1] * x[:, 2],
+                              1.5 * x[:, 3] - 2.0 * x[:, 5], np.zeros(len(x)),
+                              np.cos(x[:, 4]) * x[:, 6], np.abs(x[:, 7]) - x[:, 1],
+                              x[:, 0] * x[:, 3]])
+    signs = np.column_stack([s[:, 0] * s[:, 1], s[:, 2] * s[:, 3], s[:, 4] * s[:, 5],
+                             s[:, 6] * s[:, 7], s[:, 0] * s[:, 2] * s[:, 4], np.sin(2.0 * x[:, 0])])
+    header = ",".join([f"x{j}" for j in range(8)] + [f"y{j}" for j in range(6)])
+    for name, y, rows, layers in (("smooth", smooth, 20_000, "1"), ("signs", signs, 6000, "2")):
+        data = tmp_path / f"{name}.csv"
+        np.savetxt(data, np.column_stack([x, y + noise])[:rows], fmt="%.17g", delimiter=",",
+                   comments="", header=header)
+        outputs = []
+        for threads in ("1", "2"):  # never more threads than a 2-core machine has
+            out = tmp_path / f"{name}{threads}"
+            done = run_cli_process(
+                ["train", "--data", str(data), "--labels", "6", "--seed", "1", "--max-layers",
+                 layers, "--max-neurons", "60", "--patience", "60", "--out", str(out)],
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("model.json", "summary.json", "report.csv")})
+        assert outputs[0] == outputs[1], name
+        assert f"\n{layers},60," in outputs[0]["report.csv"].decode()
 
 
 @pytest.mark.parametrize("source,field,value", [
     ("flag", "lambda0", "0"),
-    ("manifest", "divisor", 1),
     ("flag", "lambda0", "nan"),
     ("flag", "lambda0", "inf"),
     ("manifest", "lambda0", math.inf),
-    ("manifest", "divisor", math.nan),
-    ("manifest", "cd_tol", math.inf),
-    ("manifest", "min_layer_gain", math.inf),
     ("flag", "seed", "-1"),
     ("manifest", "seed", -1),
-    ("manifest", "replace_cap", 0),
-], ids=["flag", "manifest", "flag-lambda0-nan", "flag-lambda0-inf",
-        "manifest-lambda0-inf", "manifest-divisor-nan",
-        "manifest-cd_tol-inf", "manifest-gain-inf", "flag-seed-negative",
-        "manifest-seed-negative", "manifest-replace_cap-zero"])
+], ids=["flag", "flag-lambda0-nan", "flag-lambda0-inf", "manifest-lambda0-inf",
+        "flag-seed-negative", "manifest-seed-negative"])
 def test_bad_lasso_setting_is_config_error(tmp_path, source, field, value):
     # Flags and manifest fields, NaN and Infinity included (JSON carries
-    # both), reach the configs before any training. Manifests written before
-    # the schedule's divisor, the solver limits and the replace pass's cap
-    # became constants record them, and another value there is a
-    # configuration error too.
+    # both), reach the configs before any training.
     data = tmp_path / "d.csv"
     write_dataset(data)
     out = tmp_path / "run"
@@ -325,6 +326,7 @@ def test_unwritable_output_is_data_error(tmp_path, command):
     ("lambda0", "1e5"),
     ("max_layers", 2.5),
     ("patience", True),
+    ("software_version", 1),
 ])
 def test_manifest_field_of_wrong_type_is_data_error(tmp_path, field, value):
     data = tmp_path / "d.csv"
@@ -342,47 +344,36 @@ def test_manifest_field_of_wrong_type_is_data_error(tmp_path, field, value):
     assert not out.exists()
 
 
-# The older 17-key manifest format, which also recorded the six settings
-# that are now fixed; here they hold their fixed values.
-OLD_FORMAT_FIXED = {"min_layer_gain": 0.0, "divisor": 1.5, "max_halvings": 200,
-                    "cd_tol": 1e-08, "cd_max_iters": 10000, "replace_cap": 10}
-
-
-def old_format_manifest(doc):
-    keys = ["dataset", "labels", "test_fraction", "val_fraction", "seed", "max_neurons",
-            "max_layers", "replace_cap", "patience", "min_layer_gain", "lambda0", "divisor",
-            "max_halvings", "cd_tol", "cd_max_iters", "out_dir", "software_version"]
-    return {k: {**doc, **OLD_FORMAT_FIXED}[k] for k in keys}
-
-
-def test_old_format_manifest_reruns_to_the_same_bytes(tmp_path):
-    data = tmp_path / "d.csv"
-    write_dataset(data, seed=5)
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["train", "--data", str(data), "--labels", "1", "--seed", "2",
-                 "--max-neurons", "25", "--out", str(out1)]) == 0
-    old = tmp_path / "old.json"
-    doc = old_format_manifest(json.loads((out1 / "manifest.json").read_text()))
-    old.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    assert main(["train", "--from-manifest", str(old), "--out", str(out2)]) == 0
-    for name in ("model.json", "report.csv", "summary.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    assert json.loads((out2 / "manifest.json").read_text()) == dict(
-        json.loads((out1 / "manifest.json").read_text()), out_dir=str(out2))
-
-
-@pytest.mark.parametrize("field", sorted(OLD_FORMAT_FIXED))
-def test_old_format_fixed_setting_as_bool_is_config_error(tmp_path, capsys, field):
+@pytest.mark.parametrize("legacy", [{}, {"divisor": 1.5, "max_halvings": 200, "cd_tol": 1e-08,
+                                      "cd_max_iters": 10000, "min_layer_gain": 0.0,
+                                      "replace_cap": 10}], ids=["current-fields", "legacy-fields"])
+def test_manifest_of_another_version_is_config_error(tmp_path, legacy):
+    # Every version before 0.2.0 called itself 0.1.0, whatever models it
+    # trained, so no such manifest can be trusted to rerun byte-for-byte.
     data = tmp_path / "d.csv"
     write_dataset(data, m=40)
     out = tmp_path / "run"
-    doc = old_format_manifest(asdict(RunManifest(str(data), "1", out_dir=str(out))))
-    doc[field] = not doc[field]
+    doc = dict(asdict(RunManifest(str(data), "1", out_dir=str(out))), **legacy,
+               software_version="0.1.0")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["train", "--from-manifest", str(manifest)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and f"'{field}'" in err
+    proc = run_cli_process(["train", "--from-manifest", str(manifest)])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("config error:")
+    assert "0.1.0" in proc.stderr and bannet.__version__ in proc.stderr
+    assert not out.exists()
+
+
+def test_manifest_with_unknown_field_is_data_error(tmp_path):
+    data = tmp_path / "d.csv"
+    write_dataset(data, m=40)
+    out = tmp_path / "run"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(dict(asdict(RunManifest(str(data), "1", out_dir=str(out))),
+                                        divisor=1.5)), encoding="utf-8")
+    proc = run_cli_process(["train", "--from-manifest", str(manifest)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error:") and "'divisor'" in proc.stderr
     assert not out.exists()
 
 
