@@ -4,8 +4,8 @@ they imply.
 Each hidden layer splits the input space into the cells of a hyperplane
 arrangement; grouping dataset rows by their activation pattern at depth k
 yields a partition. No network sharing those layers can do better on the
-training set than predicting the per-region label mean (squared error) or the
-per-region majority label (0-1 error), which gives computable lower bounds.
+training set than predicting the per-region label mean, which gives a
+computable lower bound on the squared error.
 
 A partition is one region id per row and one layer output per region. The
 rows of a depth-(k-1) region share their layer-k input, so depth k refines
@@ -111,20 +111,6 @@ def regression_lower_bound(partition: RegionPartition, labels: np.ndarray) -> fl
     )
     dev = labels - means[region]
     return float(np.sum(dev * dev)) / m
-
-
-def classification_lower_bound(partition: RegionPartition, labels: np.ndarray) -> float:
-    """0-1-loss floor for binary labels in {-1, +1}: (1 - sum of weighted
-    absolute per-region label means) / 2. Zero when every region is
-    label-pure; at most 0.5."""
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise DataError("classification bound requires labels exactly in {-1, +1}")
-    m = labels.shape[0]
-    _check_rows(partition, m)
-    # A region of size n_r with label sum s_r weighs n_r/m * |s_r/n_r| = |s_r|/m.
-    sums = np.bincount(partition.region, weights=labels, minlength=partition.n_regions)
-    return (1.0 - float(np.sum(np.abs(sums))) / m) / 2.0
 
 
 def bound_chain(model: BannModel, dataset: Dataset) -> list[tuple[int, int, float]]:

@@ -224,11 +224,6 @@ def forward(model: BannModel, x) -> np.ndarray:
     return propagate(model, x, len(model.hidden), with_output=True)
 
 
-def hidden_pattern(model: BannModel, x, k: int) -> np.ndarray:
-    """Pattern over {h1, h2} after hidden layer k of inputs x."""
-    return unpack_pattern(model, propagate(model, x, k, with_output=False), k)
-
-
 def unpack_pattern(model: BannModel, bits: np.ndarray, k: int) -> np.ndarray:
     """Patterns over {h1, h2} of hidden layer k from the bits ``propagate`` packs."""
     below = np.unpackbits(bits, axis=-1, count=model.hidden[k - 1].width, bitorder="little")

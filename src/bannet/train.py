@@ -189,9 +189,14 @@ class LayerState:
     and ``C`` (dl x units, C order, the output head's weights); ``head_bias``
     is the head's (dl,) bias. The head's columns [1; S] are the constant and
     each unit's +/-1 side, kept as int8 rows over the training and validation
-    rows in ``_sides`` and ``_val_sides``. Their Gram matrix G has integer
-    entries, exact in float64; ``_linv`` is the inverse of its lower Cholesky
-    factor and ``_rhs`` is [1; S] targets^T, each grown by a row per unit.
+    rows in ``_sides`` and ``_val_sides`` for the refit's float products, and
+    over the training rows in ``_bits``, one bit per row set where the side is
+    -1 (``np.packbits`` order, zero padding to whole uint64 words; the constant
+    row has no bit set). Their Gram matrix G has integer entries, exact in
+    float64: a new side's column is m less twice the popcount of its bits xor
+    each row's. ``_linv`` is the inverse of G's lower Cholesky factor and
+    ``_rhs`` is [1; S] targets^T, each a leading view of a store grown by a
+    row per unit in place. Every store doubles its capacity when full.
     ``val_pred``, the output-major validation prediction, follows every kept
     change at once, so residuals, units, head and ``val_pred`` agree.
     """
@@ -226,8 +231,11 @@ class LayerState:
         self.C = np.empty((self.residuals.shape[0], 0))
         self.head_bias = np.zeros(self.residuals.shape[0])
         self._sides, self._val_sides = (np.ones((16, n), np.int8) for n in (self.m, len(vx)))
-        self._linv = np.full((1, 1), 1.0 / math.sqrt(self.m))
-        self._rhs = self.targets.sum(axis=1)[None, :]
+        self._bits = np.zeros((16, -(-self.m // 64)), np.uint64)
+        self._linv_store, self._rhs_store = np.zeros((16, 16)), np.zeros((16, len(self.residuals)))
+        self._linv_store[0, 0] = 1.0 / math.sqrt(self.m)
+        self._rhs_store[0] = self.targets.sum(axis=1)
+        self._linv, self._rhs = self._linv_store[:1, :1], self._rhs_store[:1]
 
     def val_mse(self) -> float:
         return squared_error_sums(self.val_pred.T, self.val_targets)[0] / self.val_targets.shape[0]
@@ -253,17 +261,25 @@ class LayerState:
         """Append a unit's sides as a head column, or raise ZeroWeightVector,
         changing nothing, when the side lies in the span of the columns."""
         n = len(self._linv)
-        g = sum(s @ side[cols] for cols, s in _side_blocks(self._sides[:n]))  # exact integers
+        bits = np.zeros_like(self._bits[0])
+        packed = np.packbits(side < 0, bitorder="little")
+        bits.view(np.uint8)[: len(packed)] = packed
+        # Rows agree where their bits do: g_k = m - 2 * (rows where they differ), exactly.
+        g = self.m - 2.0 * np.bitwise_count(self._bits[:n] ^ bits).sum(axis=1, dtype=np.int64)
         l = self._linv @ g
         pivot2 = self.m - l @ l  # the squared distance of the side from the span
         if not pivot2 > 1e-9 * self.m:  # zero up to rounding
             raise ZeroWeightVector("the unit's side lies in the span of the head's columns")
-        if n == len(self._sides):  # double the capacity
-            self._sides, self._val_sides = (np.vstack([a, a]) for a in (self._sides, self._val_sides))
-        self._sides[n], self._val_sides[n] = side, val_side
-        self._linv = np.pad(self._linv, (0, 1))
-        self._linv[n] = np.append(l @ self._linv[:n, :n], -1.0) / -math.sqrt(pivot2)
-        self._rhs = np.vstack([self._rhs, self.targets @ side])
+        if n == len(self._sides):  # double the capacity, freeing each old store before the next
+            self._sides = np.vstack([self._sides] * 2)
+            self._val_sides = np.vstack([self._val_sides] * 2)
+            self._bits = np.vstack([self._bits] * 2)
+            self._rhs_store = np.vstack([self._rhs_store] * 2)
+            self._linv_store = np.pad(self._linv_store, (0, n))
+        self._sides[n], self._val_sides[n], self._bits[n] = side, val_side, bits
+        self._linv_store[n, : n + 1] = np.append(l @ self._linv, -1.0) / -math.sqrt(pivot2)
+        self._rhs_store[n] = self.targets @ side
+        self._linv, self._rhs = self._linv_store[: n + 1, : n + 1], self._rhs_store[: n + 1]
 
     def add_neuron(self, intercept: bool = False) -> tuple[float, float]:
         """Fit a unit from one projection onto its normal and append it with its

@@ -4,7 +4,14 @@ import tempfile
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from bannet.model import ActivationParams, BannModel, Dataset, LayerParams
+from bannet.model import (
+    ActivationParams,
+    BannModel,
+    Dataset,
+    LayerParams,
+    propagate,
+    unpack_pattern,
+)
 
 # Property tests draw the same examples on every run and keep no example
 # database, so tier-1 stays reproducible.
@@ -18,6 +25,11 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
+
+
+def hidden_pattern(model, x, k):
+    """Pattern over {h1, h2} after hidden layer k of inputs x."""
+    return unpack_pattern(model, propagate(model, x, k, with_output=False), k)
 
 
 def make_random_model(rng, d0=None, n_hidden=None, dl=None, max_width=8, activation=None):

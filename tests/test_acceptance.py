@@ -20,14 +20,13 @@ from bannet.approx import (
     product_grid_error,
     square_grid_error,
 )
-from bannet.bounds import bound_chain, classification_lower_bound, partition_regions
+from bannet.bounds import bound_chain, partition_regions, regression_lower_bound
 from bannet.data import SplitSpec, split_dataset
 from bannet.model import Dataset, forward, mse, reparametrize_activation
 from bannet.solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 from bannet.train import TrainConfig, build_layer, build_network
 
 from conftest import make_random_dataset, make_random_model, random_activation
-from test_bounds import exhaustive_zero_one_floor
 from test_solvers import kkt_violation, lasso_fit, least_squares_fit
 from test_train import brute_force_best_split, split_objective
 from bannet.train import compute_cd, optimal_bias
@@ -120,7 +119,7 @@ def test_criterion_2_split_and_coefficient_oracles():
     )
 
 
-def test_criterion_3_bound_chain_and_classification_oracle():
+def test_criterion_3_bound_chain_and_floor_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -133,25 +132,23 @@ def test_criterion_3_bound_chain_and_classification_oracle():
         slack = 1e-9 * max(1.0, total)
         assert all(a <= b + slack for a, b in zip(chain, chain[1:]))
         assert chain[-1] <= total + slack
-    oracle_checks = 0
-    while oracle_checks < 30:
-        model = make_random_model(rng, d0=2, n_hidden=1, dl=1, max_width=3)
-        m = int(rng.integers(6, 30))
-        x = rng.normal(size=(m, 2))
-        labels = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
-        part = partition_regions(model, Dataset(x, labels[:, None]), 1)
-        if part.n_regions > 8:
-            continue
-        assert classification_lower_bound(part, labels) == pytest.approx(
-            exhaustive_zero_one_floor(part, labels), abs=1e-12
+    for _ in range(30):
+        model = make_random_model(rng, d0=2, n_hidden=1, dl=2, max_width=3)
+        data = make_random_dataset(rng, m=int(rng.integers(6, 30)), d0=2, dl=2)
+        part = partition_regions(model, data, 1)
+        # The floor is the least-squares error of one constant per region.
+        indicators = (part.region[:, None] == np.arange(part.n_regions)).astype(float)
+        coef, *_ = np.linalg.lstsq(indicators, data.labels, rcond=None)
+        left = data.labels - indicators @ coef
+        assert regression_lower_bound(part, data.labels) == pytest.approx(
+            float(np.sum(left * left)) / data.m, rel=1e-9, abs=1e-12
         )
-        oracle_checks += 1
     elapsed = time.perf_counter() - start
     _report(
         3,
         elapsed < 10,
-        f"20 bound chains ordered below model error; {oracle_checks} "
-        f"classification floors exact, {elapsed:.1f}s (< 10s)",
+        f"20 bound chains ordered below model error; 30 squared-error floors "
+        f"match least squares, {elapsed:.1f}s (< 10s)",
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import bannet.bounds
 from bannet.bounds import (
     bound_chain,
-    classification_lower_bound,
     partition_regions,
     regression_lower_bound,
 )
@@ -20,11 +19,10 @@ from bannet.model import (
     BannModel,
     Dataset,
     LayerParams,
-    hidden_pattern,
     mse,
 )
 
-from conftest import make_random_dataset, make_random_model
+from conftest import hidden_pattern, make_random_dataset, make_random_model
 
 
 def region_indices(partition):
@@ -32,17 +30,6 @@ def region_indices(partition):
     order = np.argsort(partition.region, kind="stable")
     ends = np.cumsum(np.bincount(partition.region, minlength=partition.n_regions))
     return tuple(np.split(order, ends[:-1]))
-
-
-def exhaustive_zero_one_floor(partition, labels):
-    """Minimum 0-1 error over every assignment of one +/-1 label per region."""
-    best = 1.0
-    for assignment in itertools.product((-1.0, 1.0), repeat=partition.n_regions):
-        errors = 0
-        for value, idx in zip(assignment, region_indices(partition)):
-            errors += int(np.sum(labels[idx] != value))
-        best = min(best, errors / len(labels))
-    return best
 
 
 def reference_indices(model, dataset, k):
@@ -58,11 +45,6 @@ def reference_indices(model, dataset, k):
 def reference_regression_floor(indices, labels):
     m = labels.shape[0]
     return sum(len(idx) / m * float(np.var(labels[idx], axis=0).sum()) for idx in indices)
-
-
-def reference_classification_floor(indices, labels):
-    m = labels.shape[0]
-    return (1.0 - sum(len(idx) / m * abs(float(labels[idx].mean())) for idx in indices)) / 2.0
 
 
 def model_with_widths(rng, widths, activation):
@@ -87,7 +69,6 @@ def test_partition_and_floors_match_row_loop_reference(activation):
             pool = rng.normal(size=(max(1, m // 4), d0))
             x = pool[rng.integers(0, pool.shape[0], m)]
             data = Dataset(x, rng.normal(size=(m, dl)))
-            signs = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
             for k in range(1, len(hidden) + 1):
                 part = partition_regions(model, data, k)
                 want = reference_indices(model, data, k)
@@ -96,9 +77,6 @@ def test_partition_and_floors_match_row_loop_reference(activation):
                 assert all(np.array_equal(a, b) for a, b in zip(region_indices(part), want))
                 assert regression_lower_bound(part, data.labels) == pytest.approx(
                     reference_regression_floor(want, data.labels), rel=1e-12, abs=1e-300
-                )
-                assert classification_lower_bound(part, signs) == pytest.approx(
-                    reference_classification_floor(want, signs), rel=0, abs=1e-12
                 )
 
 
@@ -187,68 +165,6 @@ def test_refinement_region_counts_non_increasing():
         data = make_random_dataset(rng, m=60, d0=model.in_width, dl=model.out_width)
         counts = [n for _, n, _ in bound_chain(model, data)]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-
-def test_classification_bound_pure_regions():
-    rng = np.random.default_rng(8)
-    model = make_random_model(rng, d0=2, n_hidden=1, dl=1)
-    data = make_random_dataset(rng, m=30, d0=2, dl=1)
-    part = partition_regions(model, data, 1)
-    labels = np.zeros(30)
-    for k, idx in enumerate(region_indices(part)):
-        labels[idx] = 1.0 if k % 2 == 0 else -1.0
-    assert classification_lower_bound(part, labels) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_classification_bound_balanced_single_region():
-    model = BannModel(
-        SIGN,
-        (LayerParams(np.zeros((1, 1)), np.ones(1)),),
-        LayerParams(np.ones((1, 1)), np.zeros(1)),
-    )
-    x = np.arange(4.0)[:, None]
-    labels = np.array([1.0, -1.0, 1.0, -1.0])
-    data = Dataset(x, labels[:, None])
-    part = partition_regions(model, data, 1)
-    assert classification_lower_bound(part, labels) == pytest.approx(0.5)
-
-
-def test_classification_bound_two_to_one_region():
-    # a lone region {+1, +1, -1}: best constant errs on exactly 1 of 3
-    model = BannModel(
-        SIGN,
-        (LayerParams(np.zeros((1, 1)), np.ones(1)),),
-        LayerParams(np.ones((1, 1)), np.zeros(1)),
-    )
-    data = Dataset(np.arange(3.0)[:, None], np.array([[1.0], [1.0], [-1.0]]))
-    part = partition_regions(model, data, 1)
-    assert classification_lower_bound(part, data.labels) == pytest.approx(1.0 / 3.0)
-
-
-def test_classification_bound_matches_exhaustive_oracle():
-    rng = np.random.default_rng(9)
-    checked = 0
-    while checked < 50:
-        model = make_random_model(rng, d0=2, n_hidden=1, dl=1, max_width=3)
-        m = int(rng.integers(6, 40))
-        x = rng.normal(size=(m, 2))
-        labels = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
-        data = Dataset(x, labels[:, None])
-        part = partition_regions(model, data, 1)
-        if part.n_regions > 8:
-            continue
-        bound = classification_lower_bound(part, labels)
-        assert bound == pytest.approx(exhaustive_zero_one_floor(part, labels), abs=1e-12)
-        checked += 1
-
-
-def test_classification_bound_rejects_non_binary_labels():
-    rng = np.random.default_rng(10)
-    model = make_random_model(rng, d0=1, n_hidden=1, dl=1)
-    data = make_random_dataset(rng, m=10, d0=1, dl=1)
-    part = partition_regions(model, data, 1)
-    with pytest.raises(DataError):
-        classification_lower_bound(part, np.linspace(-1, 1, 10))
 
 
 def test_bound_label_size_mismatch():

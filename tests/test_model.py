@@ -18,7 +18,6 @@ from bannet.model import (
     activate,
     count_nonzero_parameters,
     forward,
-    hidden_pattern,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -29,7 +28,7 @@ from bannet.model import (
     squared_error_sums,
 )
 
-from conftest import make_random_model, random_activation
+from conftest import hidden_pattern, make_random_model, random_activation
 
 
 def test_activate_sign_boundary_maps_up():

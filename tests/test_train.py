@@ -18,7 +18,6 @@ from bannet.model import (
     LayerParams,
     count_nonzero_parameters,
     forward,
-    hidden_pattern,
     mse,
     squared_error_sums,
 )
@@ -34,6 +33,8 @@ from bannet.train import (
     optimal_bias,
 )
 
+from conftest import hidden_pattern
+
 
 def unit_side(features, w, b):
     """Side of the hyperplane for every row: -1 below, +1 at or above."""
@@ -42,10 +43,10 @@ def unit_side(features, w, b):
 
 def state_arrays(state):
     """Everything a unit change or head fit may write: residuals, units, head,
-    validation prediction and the head's columns with their factor."""
+    validation prediction and the head's columns, bits included, with their factor."""
     n = len(state._linv)
     return (state.residuals, state.W, state.b, state.C, state.head_bias, state.val_pred,
-            state._sides[:n], state._val_sides[:n], state._linv, state._rhs)
+            state._sides[:n], state._val_sides[:n], state._bits[:n], state._linv, state._rhs)
 
 
 def head_prediction(arrays, features):
@@ -442,6 +443,44 @@ def test_unit_with_side_in_the_span_is_not_kept(monkeypatch, kind):
     assert state.train_mse <= pre and imbalance <= 1e-9 * 80
     assert (gain > 0) == (kind != "constant")
     assert np.all(np.isfinite(state.C)) and np.all(np.isfinite(state.val_pred))
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 127, 128, 129])
+def test_side_bits_are_packbits_padded_to_whole_words(m):
+    # Bit i of a unit's row is set exactly where its side is -1 on row i;
+    # the bits past m and the constant row's bits are all zero.
+    rng = np.random.default_rng(m)
+    state = layer_state(rng.normal(size=(m, 2)), rng.normal(size=(m, 1)))
+    side = np.where(np.arange(m) % 3 == 0, -1.0, 1.0)
+    state._add_column(side, side)
+    assert state._bits.dtype == np.uint64 and state._bits.shape[1] == -(-m // 64)
+    bits = np.unpackbits(state._bits[:2].view(np.uint8), axis=1, bitorder="little")
+    assert not bits[0].any() and not bits[1, m:].any()
+    assert np.array_equal(bits[1, :m], side < 0)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 130])
+def test_head_columns_stay_exact_through_a_capacity_doubling(m):
+    # 24 random sides pass the stores' first capacity of 16 columns. After
+    # each, the popcount Gram column of the newest side's bits is the exact
+    # float product [1; S] side, and _linv still inverts the Cholesky factor
+    # of G = [1; S] [1; S]^T.
+    rng = np.random.default_rng(m)
+    state = layer_state(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)))
+    sides = [np.ones(m)]
+    for n in range(1, 25):
+        side = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
+        state._add_column(side, side)
+        sides.append(side)
+        S = np.vstack(sides)
+        assert len(state._linv) == n + 1 and np.array_equal(state._sides[: n + 1], S)
+        bits = state._bits[: n + 1]
+        popcount = m - 2.0 * np.bitwise_count(bits[:n] ^ bits[n]).sum(axis=1)
+        assert np.array_equal(popcount, S[:n] @ side)
+        assert np.allclose(state._rhs, S @ state.targets.T, rtol=0, atol=1e-12 * m)
+        eye = state._linv @ (S @ S.T) @ state._linv.T
+        assert np.max(np.abs(eye - np.eye(n + 1))) <= 1e-9
+    assert len(state._sides) == 32
 
 
 def test_intercept_unit_head_stays_finite():
