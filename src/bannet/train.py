@@ -185,20 +185,22 @@ class LayerState:
     ``train_mse`` is their mean square, set whenever they are replaced, and
     ``targets`` keeps the layer's targets in the same layout.
 
+    Every per-unit store is allocated once, with ``np.empty``, for the unit
+    cap ``max_units``: a page is touched only when a unit writes it. ``W``,
+    ``b``, ``C``, ``_linv`` and ``_rhs`` are leading views of their stores.
     Unit k lives at index k of ``W`` (units x p, one normal per row), ``b``
-    and ``C`` (dl x units, C order, the output head's weights); ``head_bias``
-    is the head's (dl,) bias. The head's columns [1; S] are the constant and
-    each unit's +/-1 side, kept as int8 rows over the training and validation
-    rows in ``_sides`` and ``_val_sides`` for the refit's float products, and
-    over the training rows in ``_bits``, one bit per row set where the side is
-    -1 (``np.packbits`` order, zero padding to whole uint64 words; the constant
+    and ``C`` (dl x units, the output head's weights); ``head_bias`` is the
+    head's (dl,) bias. The head's columns [1; S] are the constant and each
+    unit's +/-1 side, kept as int8 rows over the training and validation rows
+    in ``_sides`` and ``_val_sides`` for the refit's float products, and over
+    the training rows in ``_bits``, one bit per row set where the side is -1
+    (``np.packbits`` order, zero padding to whole uint64 words; the constant
     row has no bit set). Their Gram matrix G has integer entries, exact in
     float64: a new side's column is m less twice the popcount of its bits xor
     each row's. ``_linv`` is the inverse of G's lower Cholesky factor and
-    ``_rhs`` is [1; S] targets^T, each a leading view of a store grown by a
-    row per unit in place. Every store doubles its capacity when full.
-    ``val_pred``, the output-major validation prediction, follows every kept
-    change at once, so residuals, units, head and ``val_pred`` agree.
+    ``_rhs`` is [1; S] targets^T. ``val_pred``, the output-major validation
+    prediction, follows every kept change at once, so residuals, units, head
+    and ``val_pred`` agree.
     """
 
     def __init__(
@@ -209,6 +211,7 @@ class LayerState:
         val_targets: np.ndarray,
         lasso_cfg: LassoConfig,
         current_lambda: float,
+        max_units: int,
     ):
         self.features = np.asarray(features, dtype=float)
         self.residuals = np.array(np.atleast_2d(np.transpose(targets)), dtype=float, order="C")
@@ -226,15 +229,16 @@ class LayerState:
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
-        self.W = np.empty((0, self.features.shape[1]))
-        self.b = np.empty(0)
-        self.C = np.empty((self.residuals.shape[0], 0))
-        self.head_bias = np.zeros(self.residuals.shape[0])
-        self._sides, self._val_sides = (np.ones((16, n), np.int8) for n in (self.m, len(vx)))
-        self._bits = np.zeros((16, -(-self.m // 64)), np.uint64)
-        self._linv_store, self._rhs_store = np.zeros((16, 16)), np.zeros((16, len(self.residuals)))
-        self._linv_store[0, 0] = 1.0 / math.sqrt(self.m)
-        self._rhs_store[0] = self.targets.sum(axis=1)
+        dl, cols = len(self.residuals), max_units + 1  # the constant and a column per unit
+        self._W, self._b = np.empty((max_units, x.shape[1])), np.empty(max_units)
+        self._C = np.empty((dl, max_units))
+        self.W, self.b, self.C = self._W[:0], self._b[:0], self._C[:, :0]
+        self.head_bias = np.zeros(dl)
+        self._sides, self._val_sides = (np.empty((cols, n), np.int8) for n in (self.m, len(vx)))
+        self._bits = np.empty((cols, -(-self.m // 64)), np.uint64)
+        self._linv_store, self._rhs_store = np.empty((cols, cols)), np.empty((cols, dl))
+        self._sides[0], self._val_sides[0], self._bits[0] = 1, 1, 0
+        self._linv_store[0, 0], self._rhs_store[0] = 1.0 / math.sqrt(self.m), self.targets.sum(1)
         self._linv, self._rhs = self._linv_store[:1, :1], self._rhs_store[:1]
 
     def val_mse(self) -> float:
@@ -270,13 +274,8 @@ class LayerState:
         pivot2 = self.m - l @ l  # the squared distance of the side from the span
         if not pivot2 > 1e-9 * self.m:  # zero up to rounding
             raise ZeroWeightVector("the unit's side lies in the span of the head's columns")
-        if n == len(self._sides):  # double the capacity, freeing each old store before the next
-            self._sides = np.vstack([self._sides] * 2)
-            self._val_sides = np.vstack([self._val_sides] * 2)
-            self._bits = np.vstack([self._bits] * 2)
-            self._rhs_store = np.vstack([self._rhs_store] * 2)
-            self._linv_store = np.pad(self._linv_store, (0, n))
         self._sides[n], self._val_sides[n], self._bits[n] = side, val_side, bits
+        self._linv_store[:n, n] = 0.0  # _linv is lower triangular
         self._linv_store[n, : n + 1] = np.append(l @ self._linv, -1.0) / -math.sqrt(pivot2)
         self._rhs_store[n] = self.targets @ side
         self._linv, self._rhs = self._linv_store[: n + 1, : n + 1], self._rhs_store[: n + 1]
@@ -297,8 +296,7 @@ class LayerState:
         b = optimal_bias(proj, self.residuals.T)
         side = activate(proj + b, SIGN)
         c, d = compute_cd(self.residuals.T, side)
-        left = np.outer(c, side)
-        left += d[:, None]
+        left = units_forward(c, d, side)
         np.subtract(self.residuals, left, out=left)
         post = float(np.einsum("ij,ij->", left, left) / self.m)
         val_side = activate(self.val_features @ w + b, SIGN)
@@ -307,9 +305,9 @@ class LayerState:
                 raise ZeroWeightVector("no hyperplane lowers the training error")
             self._add_column(side, val_side)
         self.residuals, self.train_mse = left, post
-        self.W = np.vstack([self.W, w])
-        self.b = np.append(self.b, b)
-        self.C = np.hstack([self.C, c[:, None]])
+        t = len(self.b)
+        self._W[t], self._b[t], self._C[:, t] = w, b, c
+        self.W, self.b, self.C = self._W[: t + 1], self._b[: t + 1], self._C[:, : t + 1]
         self.head_bias = self.head_bias + d
         self.val_pred += units_forward(c, d, val_side)
         return pre - post, float(np.sum(c * c - d * d))
@@ -330,7 +328,7 @@ class LayerState:
             post = float(np.einsum("ij,ij->", left, left) / self.m)
             if post < self.train_mse:
                 gain, self.residuals, self.train_mse = self.train_mse - post, left, post
-                self.C, self.head_bias = np.ascontiguousarray(beta[1:].T), beta[0]
+                self.C[:], self.head_bias = beta[1:].T, beta[0]
                 for cols, s in _side_blocks(self._val_sides[:n]):
                     self.val_pred[:, cols] = beta.T @ s
                 return gain, _largest_side_sum(sums)
@@ -366,16 +364,16 @@ def build_layer(
     error. Validation only decides where growth stops and which width is
     kept, never which unit comes next. A record's nnz is counted from the
     layer's arrays: the frozen layers ``kept`` below this one, counted once,
-    plus the grown units and their output head. The units are copied out
-    only when validation improves, and the network is built once, after
-    growth, from the copy at the kept width."""
+    plus the grown units and their output head. Grown units never change, so
+    only the head is copied out when validation improves, and the network is
+    built once, after growth, from the units up to the kept width."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
     state = LayerState(features, targets, val_features, val_targets, cfg.lasso,
-                       current_lambda or cfg.lasso.lambda0)
+                       current_lambda or cfg.lasso.lambda0, cfg.max_neurons_per_layer)
     frozen_nnz = count_nonzero(*(a for layer in kept for a in (layer.weights, layer.biases)))
 
-    best: tuple[IterationRecord, LayerParams, LayerParams] | None = None
+    best: tuple[IterationRecord, LayerParams] | None = None
     bad_streak = 0
     aborted = False
 
@@ -398,8 +396,8 @@ def build_layer(
             records.append(record)
 
         if best is None or record.val_mse < best[0].val_mse:
-            # LayerParams copies, so later units and head fits leave the kept ones alone.
-            best = record, LayerParams(state.W, state.b), LayerParams(state.C, state.head_bias)
+            # LayerParams copies, so later head fits leave the kept head alone.
+            best = record, LayerParams(state.C, state.head_bias)
             bad_streak = 0
         else:
             bad_streak += 1
@@ -408,7 +406,8 @@ def build_layer(
         if aborted:
             break
 
-    record, grown, head = best
+    record, head = best
+    grown = LayerParams(state.W[: record.t], state.b[: record.t])
     return LayerResult(BannModel(SIGN, kept + (grown,), head), record, aborted,
                        state.current_lambda)
 

@@ -39,3 +39,9 @@ def test_quality_lines_give_medians_and_how_many_the_change_moves():
         "  nonzero_parameters: median parent 20, change 8; change lower in 2, higher in 0 of 3",
     ]
     assert compare_runs.quality_lines([]) == []
+
+
+def test_usage_line_gives_peak_memory_and_cpu_seconds_per_training():
+    line = compare_runs.usage_line("change", (44.0, 43.5, 45.25), (1.5, 0.75, 1.0))
+    assert line == ("  change peak RSS: median 44.00 MB, largest 45.25 MB; "
+                    "CPU: median 1.00 s per training")

@@ -49,6 +49,19 @@ def state_arrays(state):
             state._sides[:n], state._val_sides[:n], state._bits[:n], state._linv, state._rhs)
 
 
+def poison_empty(monkeypatch):
+    """Make np.empty fill what it returns with all-ones bytes (NaN floats, -1
+    int8s), so code that reads an entry it never wrote shows it."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+
+
 def head_prediction(arrays, features):
     """Prediction of units (W, b) under the head (C, head bias): bias + sum_k C_k side_k(x)."""
     W, b, C, head_b = arrays
@@ -245,9 +258,9 @@ def test_compute_cd_matches_least_squares_oracle():
             assert abs(d[j] - coef[1]) <= 1e-9
 
 
-def layer_state(features, targets, seed_lambda=1e5):
+def layer_state(features, targets, seed_lambda=1e5, max_units=10):
     """A LayerState that validates on its own training rows."""
-    return LayerState(features, targets, features, targets, LassoConfig(), seed_lambda)
+    return LayerState(features, targets, features, targets, LassoConfig(), seed_lambda, max_units)
 
 
 def test_fit_hyperplane_separates_constant_clusters():
@@ -460,13 +473,14 @@ def test_side_bits_are_packbits_padded_to_whole_words(m):
 
 
 @pytest.mark.parametrize("m", [63, 64, 65, 130])
-def test_head_columns_stay_exact_through_a_capacity_doubling(m):
-    # 24 random sides pass the stores' first capacity of 16 columns. After
-    # each, the popcount Gram column of the newest side's bits is the exact
-    # float product [1; S] side, and _linv still inverts the Cholesky factor
-    # of G = [1; S] [1; S]^T.
+def test_head_columns_stay_exact_up_to_the_unit_cap(monkeypatch, m):
+    # 24 random sides fill stores sized for a cap of 24 units, allocated with
+    # garbage in every entry. After each, the popcount Gram column of the
+    # newest side's bits is the exact float product [1; S] side, and _linv
+    # still inverts the Cholesky factor of G = [1; S] [1; S]^T.
     rng = np.random.default_rng(m)
-    state = layer_state(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)))
+    poison_empty(monkeypatch)
+    state = layer_state(rng.normal(size=(m, 2)), rng.normal(size=(m, 2)), max_units=24)
     sides = [np.ones(m)]
     for n in range(1, 25):
         side = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
@@ -480,7 +494,9 @@ def test_head_columns_stay_exact_through_a_capacity_doubling(m):
         assert np.allclose(state._rhs, S @ state.targets.T, rtol=0, atol=1e-12 * m)
         eye = state._linv @ (S @ S.T) @ state._linv.T
         assert np.max(np.abs(eye - np.eye(n + 1))) <= 1e-9
-    assert len(state._sides) == 32
+    side = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
+    with pytest.raises(IndexError):  # no room past the cap
+        state._add_column(side, side)
 
 
 def test_intercept_unit_head_stays_finite():
@@ -600,7 +616,7 @@ def test_kept_refits_leave_state_consistent():
 
     rng = np.random.default_rng(0)
     (x, y), (val_x, val_y) = three_levels(rng, 60), three_levels(rng, 30)
-    state = LayerState(x, y, val_x, val_y, LassoConfig(), 1e5)
+    state = LayerState(x, y, val_x, val_y, LassoConfig(), 1e5, 4)
     kept = 0
     for step in range(8):
         if step % 2:
@@ -735,6 +751,37 @@ def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("cap", [1, 16])
+def test_build_layer_grows_to_the_unit_cap(monkeypatch, cap):
+    # A layer that never stops early writes the last entry of every store
+    # sized from its cap. Stores filled with garbage change no record and no
+    # network, and the head at the cap is the least-squares fit on the
+    # constant and every unit's side.
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=(300, 3))
+    y = np.sin(2 * x) @ rng.normal(size=(3, 2)) + 0.1 * rng.normal(size=(300, 2))
+    cfg = TrainConfig(max_neurons_per_layer=cap, max_hidden_layers=1, patience=cap + 1)
+    runs = []
+    for poisoned in (False, True):
+        if poisoned:
+            poison_empty(monkeypatch)
+        records = []
+        runs.append((build_layer(x, y, x, y, cfg, records=records), records))
+    (clean, records), (dirty, dirty_records) = runs
+    assert [r.t for r in records] == list(range(1, cap + 1)) and clean.width == cap
+    assert dirty_records == records
+    for a, b in zip(clean.network.hidden + (clean.network.output,),
+                    dirty.network.hidden + (dirty.network.output,), strict=True):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.biases.tobytes() == b.biases.tobytes()
+    hidden, head = clean.network.hidden[0], clean.network.output
+    design = np.column_stack([np.ones(300)] + [unit_side(x, w, bk)
+                                               for w, bk in zip(hidden.weights, hidden.biases)])
+    want, *_ = np.linalg.lstsq(design, y, rcond=None)
+    got = np.vstack([head.biases, head.weights.T])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_build_layer_constant_targets_aborts_at_width_one():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(20, 3))
@@ -835,7 +882,8 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
     scored = None
     for layer in (1, 2):
         rows = [r for r in growth if r.layer == layer]
-        state = LayerState(features, train.labels, features, train.labels, cfg.lasso, lam)
+        state = LayerState(features, train.labels, features, train.labels, cfg.lasso, lam,
+                           cfg.max_neurons_per_layer)
         for r in rows:
             state.add_neuron()
             state.replace_pass()

@@ -15,9 +15,10 @@ how many the row counts differ. For the model quality it prints, from each
 ``summary.json``, the median ``test_mse`` and ``nonzero_parameters`` of each
 side and in how many trainings the change lowers or raises each, so a change
 that alters models by design shows what it does to them. It also prints, per
-checkout, the median and the largest peak resident memory of the trainings,
-each read from its own process, so the figures hold the program's peak
-without the benchmark harness's setup.
+checkout, the median and the largest peak resident memory of the trainings
+and their median CPU seconds (user plus system), each read from its own
+process, so the figures hold the program without the benchmark harness's
+setup; the CPU seconds include the interpreter's start-up on both sides.
 
 It also makes the ``eval_regions`` inputs (a fixed model and its CSV rows)
 with PARENT's workload, runs ``bannet evaluate`` and ``bannet bounds`` on
@@ -70,9 +71,10 @@ def cli_env(checkout: str) -> dict:
     return env
 
 
-def train(checkout: str, argv: list[str], out: str, workdir: str) -> tuple[str | None, float]:
+def train(checkout: str, argv: list[str], out: str,
+          workdir: str) -> tuple[str | None, float, float]:
     """Run ``bannet train`` from CHECKOUT's sources; returns an error message
-    or None, and the peak resident memory of its process in MB."""
+    or None, the peak resident memory of its process in MB and its CPU seconds."""
     child = subprocess.Popen(
         [sys.executable, "-m", "bannet.cli", *argv, "--out", out], env=cli_env(checkout),
         cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
@@ -82,11 +84,11 @@ def train(checkout: str, argv: list[str], out: str, workdir: str) -> tuple[str |
     # wait4 reaps the child and returns its own resource usage (ru_maxrss in KiB on Linux).
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
-    peak_mb = usage.ru_maxrss / 1024.0
+    peak_mb, cpu_s = usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime
     if child.returncode != 0:
         last = stderr.strip().splitlines()[-1:] or [""]
-        return f"exit {child.returncode}: {last[0]}", peak_mb
-    return None, peak_mb
+        return f"exit {child.returncode}: {last[0]}", peak_mb, cpu_s
+    return None, peak_mb, cpu_s
 
 
 def _read(path: str) -> bytes:
@@ -138,6 +140,12 @@ def quality_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
     return lines
 
 
+def usage_line(side: str, peaks_mb: list[float], cpu_s: list[float]) -> str:
+    """SIDE's median and largest peak RSS and median CPU seconds per training."""
+    return (f"  {side} peak RSS: median {statistics.median(peaks_mb):.2f} MB, largest "
+            f"{max(peaks_mb):.2f} MB; CPU: median {statistics.median(cpu_s):.2f} s per training")
+
+
 def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     """Train every dataset of WORKLOAD in both checkouts and print the comparison."""
     data_dir = os.path.join(workdir, name)
@@ -148,16 +156,16 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     notes: Counter = Counter()
     summaries: list[tuple[dict, dict]] = []
     failures = 0
-    peaks: tuple[list[float], list[float]] = ([], [])
+    usage: tuple[list, list] = ([], [])  # per side, [peak MB, CPU s] of each training
     for path in workload.paths:
         argv = ["train", "--data", path, "--labels", str(workload.labels),
                 "--seed", str(workload.seed), *workload.options]
         outs = [os.path.join(data_dir, side) for side in ("parent", "change")]
         errors = []
-        for checkout, out, side_peaks in zip((parent, change), outs, peaks):
-            error, peak_mb = train(checkout, argv, out, workdir)
+        for checkout, out, side_usage in zip((parent, change), outs, usage):
+            error, *used = train(checkout, argv, out, workdir)
             errors.append(error)
-            side_peaks.append(peak_mb)
+            side_usage.append(used)
         if any(errors):
             failures += 1
             print(f"  {os.path.basename(path)}: parent {errors[0] or 'ok'}, change {errors[1] or 'ok'}")
@@ -175,9 +183,8 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
         print(f"  {f} identical: {identical[f]} of {runs}")
     for line in quality_lines(summaries):
         print(line)
-    for side, side_peaks in zip(("parent", "change"), peaks):
-        print(f"  {side} peak RSS: median {statistics.median(side_peaks):.2f} MB, "
-              f"largest {max(side_peaks):.2f} MB")
+    for side, side_usage in zip(("parent", "change"), usage):
+        print(usage_line(side, *zip(*side_usage)))
     for note, reports in notes.items():
         print(f"  report.csv {note}: {reports} of {runs - failures} reports")
     for column, (differ, rows, rel) in columns.items():
