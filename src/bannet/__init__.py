@@ -1,7 +1,7 @@
 """Greedy construction of compact, sparse binary-activated neural networks
 for univariate and multivariate regression."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bounds import bound_chain
 from .data import SplitSpec, load_csv, split_dataset

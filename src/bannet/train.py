@@ -85,23 +85,25 @@ class TrainReport:
         write_atomic(path, "".join(",".join(row) + "\n" for row in rows))
 
 
-def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
+def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> tuple[float, tuple]:
     """Exact search for the bias minimizing the weighted per-side residual
-    variance, over the splits of the rows sorted by their projection proj.
+    variance over the splits of the rows sorted by their projection proj;
+    returns the bias and the split it realizes, (k, P, T): k rows on the
+    negative side and, per output, the positive-side sum P and the total T.
 
-    A split with k rows summing to s on the negative side (total T) leaves
-    per-side variances of sum r^2 - gain, gain = s^2/k + (T-s)^2/(m-k), or
-    T^2/m with the negative side empty; the scan maximizes the gain summed
-    over outputs from one prefix sum, O(dl * m) after numpy's default
-    (unstable) argsort. Equal projections are never split, so the order
-    within a tie only changes the rounding of the sums. Among equal gains
-    the first split wins, starting from the empty negative side. The
-    threshold lies 1 below the smallest projection, or midway between the
-    projections lo < hi flanking the split (lo/2 + hi/2, which cannot
-    overflow), or at hi where the midpoint rounds onto lo, so lo's row stays
-    negative. The residuals are divided by 2^e, e the binary exponent of
-    their largest magnitude: exact at ordinary scales, and no square
-    overflows or underflows.
+    A split with k rows summing to s on the negative side leaves per-side
+    variances of sum r^2 - gain, gain = s^2/k + (T-s)^2/(m-k), or T^2/m with
+    the negative side empty; the scan maximizes the gain summed over outputs
+    from one prefix sum, O(dl * m) after numpy's default (unstable) argsort.
+    Equal projections are never split, so the order within a tie only
+    changes the rounding of the sums. Among equal gains the first split
+    wins, starting from the empty negative side. The threshold lies 1 below
+    the smallest projection, or midway between the projections lo < hi
+    flanking the split (lo/2 + hi/2, which cannot overflow), or at hi where
+    the midpoint rounds onto lo, so lo's row stays negative. The residuals
+    are divided by 2^e, e the binary exponent of their largest magnitude
+    (exact at ordinary scales, and no square overflows or underflows), and
+    P and T are the same prefix sums times 2^e.
     """
     order = np.argsort(proj)
     sp = proj[order]
@@ -117,33 +119,28 @@ def optimal_bias(proj: np.ndarray, residuals: np.ndarray) -> float:
     gain[0] = total @ total / m
     np.einsum("ij,ij->j", s, s, out=gain[1:])
     gain[1:] /= k
-    s -= total[:, None]
+    s -= total[:, None]  # s[:, k-1]: minus the positive side's sum
     pos = np.einsum("ij,ij->j", s, s)
     gain[1:] += np.divide(pos, k[::-1], out=pos)
     gain[1:][sp[:-1] == sp[1:]] = -math.inf
 
     best = int(np.argmax(gain))
+    split = best, np.ldexp(-s[:, best - 1] if best else total, e), np.ldexp(total, e)
     if best == 0:
-        return float(-(sp[0] - 1.0))
+        return float(-(sp[0] - 1.0)), split
     mid = sp[best - 1] / 2.0 + sp[best] / 2.0
-    return float(-(mid if mid > sp[best - 1] else sp[best]))
+    return float(-(mid if mid > sp[best - 1] else sp[best])), split
 
 
-def compute_cd(residuals: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form output coefficients: with rho+/- the mean residual on each
-    side, c = (rho+ - rho-)/2 and d = (rho+ + rho-)/2 per output coordinate.
-    An empty side degenerates to c = 0 with d the mean of the populated side.
-    """
-    r = np.atleast_2d(residuals.T)  # (dl, m)
-    if r.shape[1] == 0:
-        raise ValueError("empty residual set")
-    n_pos = int(np.count_nonzero(side > 0))
-    n_neg = r.shape[1] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        d = r.mean(axis=1)
-        return np.zeros_like(d), d
-    total, signed = r.sum(axis=1), r @ side
-    rho_pos, rho_neg = (total + signed) / 2.0 / n_pos, (total - signed) / 2.0 / n_neg
+def compute_cd(m: int, split: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form output coefficients of m rows split (k, P, T) as optimal_bias
+    returns: with rho+ = P/(m-k) and rho- = (T-P)/k the mean residual on each
+    side, c = (rho+ - rho-)/2 and d = (rho+ + rho-)/2 per output coordinate;
+    k = 0, an empty negative side, gives c = 0 and d = T/m."""
+    k, pos, total = split
+    if k == 0:
+        return np.zeros_like(total), total / m
+    rho_pos, rho_neg = pos / (m - k), (total - pos) / k
     return (rho_pos - rho_neg) / 2.0, (rho_pos + rho_neg) / 2.0
 
 
@@ -181,7 +178,8 @@ class LayerState:
     residuals, so the row mean is what gets fitted.
 
     ``residuals`` is output-major, (dl, m) in C order, so per-output passes
-    read contiguous rows; optimal_bias and compute_cd take its transpose.
+    read contiguous rows; optimal_bias takes its transpose, and compute_cd
+    only the split that optimal_bias returns.
     ``train_mse`` is their mean square, set whenever they are replaced, and
     ``targets`` keeps the layer's targets in the same layout.
 
@@ -293,9 +291,9 @@ class LayerState:
         pre = self.train_mse
         w = np.zeros(self.features.shape[1]) if intercept else self.fit_hyperplane(self.residuals)
         proj = self.features @ w
-        b = optimal_bias(proj, self.residuals.T)
+        b, split = optimal_bias(proj, self.residuals.T)
         side = activate(proj + b, SIGN)
-        c, d = compute_cd(self.residuals.T, side)
+        c, d = compute_cd(self.m, split)
         left = units_forward(c, d, side)
         np.subtract(self.residuals, left, out=left)
         post = float(np.einsum("ij,ij->", left, left) / self.m)

@@ -28,7 +28,7 @@ from bannet.train import TrainConfig, build_layer, build_network
 
 from conftest import make_random_dataset, make_random_model, random_activation
 from test_solvers import kkt_violation, lasso_fit, least_squares_fit
-from test_train import brute_force_best_split, split_objective
+from test_train import brute_force_best_split, side_split, split_objective
 from bannet.train import compute_cd, optimal_bias
 
 # residual side-sum evidence gathered by criteria 1 and 7, checked by criterion 8
@@ -91,7 +91,7 @@ def test_criterion_2_split_and_coefficient_oracles():
         features = rng.normal(size=(m, d))
         residuals = rng.normal(size=(m, dl))
         w = rng.normal(size=d)
-        b = optimal_bias(features @ w, residuals)
+        b, _ = optimal_bias(features @ w, residuals)
         _, oracle_obj = brute_force_best_split(w, features, residuals)
         scale = 1.0 + abs(oracle_obj)
         realized = split_objective(features @ w, residuals, b)
@@ -104,7 +104,7 @@ def test_criterion_2_split_and_coefficient_oracles():
         side = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
         if np.all(side == side[0]):
             continue
-        c, d = compute_cd(residuals, side)
+        c, d = compute_cd(m, side_split(residuals, side))
         design = np.column_stack([side, np.ones(m)])
         for j in range(dl):
             coef, *_ = np.linalg.lstsq(design, residuals[:, j], rcond=None)

@@ -1,6 +1,8 @@
 """tools/compare_runs.py matches report columns by header name and summarizes model quality."""
 
 import importlib.util
+import json
+import math
 import os
 from collections import Counter
 
@@ -45,3 +47,30 @@ def test_usage_line_gives_peak_memory_and_cpu_seconds_per_training():
     line = compare_runs.usage_line("change", (44.0, 43.5, 45.25), (1.5, 0.75, 1.0))
     assert line == ("  change peak RSS: median 44.00 MB, largest 45.25 MB; "
                     "CPU: median 1.00 s per training")
+
+
+def model_json(hidden, output):
+    """model.json bytes of (weights, biases) pairs, in the fields compare_runs reads."""
+    layer = [{"weights": w, "biases": b} for w, b in hidden + [output]]
+    return json.dumps({"hidden": layer[:-1], "output": layer[-1]}).encode()
+
+
+def test_model_difference_reads_apart_last_bits_from_a_changed_architecture():
+    parent = model_json([([[1.0, 2.0], [0.0, -4.0]], [0.5, 0.0])], ([[3.0, 1.0]], [2.0]))
+    last_bit = math.nextafter(2.0, 3.0)
+    close = model_json([([[1.0, 2.0], [0.0, -4.0]], [0.5, 0.0])], ([[3.0, 1.0]], [last_bit]))
+    changed = model_json([([[1.0, 2.0], [0.0, -4.5]], [0.5, 1e-300])], ([[3.0, 1.0]], [2.0]))
+    wider = model_json([([[1.0, 2.0], [0.0, -4.0], [1.0, 1.0]], [0.5, 0.0, 1.0])],
+                       ([[3.0, 1.0, 1.0]], [2.0]))
+    deeper = model_json([([[1.0, 2.0], [0.0, -4.0]], [0.5, 0.0]), ([[1.0, 1.0]], [0.0])],
+                        ([[3.0]], [2.0]))
+    assert compare_runs.model_difference(parent, parent) == 0.0
+    assert compare_runs.model_difference(parent, close) == (last_bit - 2.0) / last_bit
+    # A weight of 4 against 4.5 differs by 1/9; a bias of 0 against anything by 1.
+    assert compare_runs.model_difference(parent, changed) == 1.0
+    assert compare_runs.model_difference(parent, wider) is None
+    assert compare_runs.model_difference(parent, deeper) is None
+    assert compare_runs.model_line([None, 1e-15, 3e-12]) == (
+        "  model.json differs in 3: same architecture in 2, "
+        "largest relative weight or bias difference 3e-12")
+    assert compare_runs.model_line([None]) == "  model.json differs in 1: same architecture in 0"

@@ -16,6 +16,7 @@ from bannet.model import (
     BannModel,
     Dataset,
     LayerParams,
+    activate,
     count_nonzero_parameters,
     forward,
     mse,
@@ -96,6 +97,12 @@ def split_objective(proj, residuals, b):
     return total
 
 
+def side_split(residuals, side):
+    """The split (k, P, T) of (m, dl) residuals that a +/-1 side realizes, summed
+    row by row: the negative-side count, the positive-side and the total sums."""
+    return int(np.count_nonzero(side < 0)), residuals[side > 0].sum(axis=0), residuals.sum(axis=0)
+
+
 def brute_force_best_split(w, features, residuals):
     """Independent oracle: evaluate the realized objective of every candidate
     bias (midpoints of consecutive sorted projections plus the two empty-side
@@ -117,7 +124,7 @@ def brute_force_best_split(w, features, residuals):
 def test_optimal_bias_hand_example():
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
     residuals = np.array([[0.0], [0.0], [10.0], [10.0]])
-    b = optimal_bias(features @ np.array([1.0]), residuals)
+    b, _ = optimal_bias(features @ np.array([1.0]), residuals)
     assert b == pytest.approx(-1.5)
     assert split_objective(features[:, 0], residuals, b) == pytest.approx(0.0, abs=1e-12)
 
@@ -125,7 +132,7 @@ def test_optimal_bias_hand_example():
 def test_optimal_bias_constant_residuals_tie_break():
     features = np.array([[0.0], [1.0], [2.0]])
     residuals = np.full((3, 1), 4.0)
-    b = optimal_bias(features @ np.array([1.0]), residuals)
+    b, _ = optimal_bias(features @ np.array([1.0]), residuals)
     # every split scores Var(r) = 0; first in scan order leaves the negative side empty
     assert b == pytest.approx(-(0.0 - 1.0))
     assert split_objective(features[:, 0], residuals, b) == pytest.approx(0.0, abs=1e-12)
@@ -140,7 +147,7 @@ def test_optimal_bias_matches_exhaustive_enumeration():
         features = rng.normal(size=(m, d))
         residuals = rng.normal(size=(m, dl))
         w = rng.normal(size=d)
-        b = optimal_bias(features @ w, residuals)
+        b, _ = optimal_bias(features @ w, residuals)
         oracle_b, oracle_obj = brute_force_best_split(w, features, residuals)
         scale = 1.0 + abs(oracle_obj)
         # the returned bias actually realizes the optimal objective
@@ -155,7 +162,7 @@ def test_optimal_bias_constant_projection_puts_every_row_positive():
     residuals = np.random.default_rng(26).normal(size=(4, 2))
     for value in (0.0, -2.5, 7.0):
         proj = np.full(4, value)
-        b = optimal_bias(proj, residuals)
+        b, _ = optimal_bias(proj, residuals)
         assert b == -(value - 1.0)
         assert np.all(proj + b >= 0)
 
@@ -167,7 +174,7 @@ def test_optimal_bias_realizes_split_between_adjacent_projections(lo):
     hi = np.nextafter(lo, math.inf)
     proj = np.array([lo, hi, np.nextafter(hi, math.inf)])
     residuals = np.array([[0.0], [10.0], [10.0]])
-    b = optimal_bias(proj, residuals)
+    b, _ = optimal_bias(proj, residuals)
     assert np.array_equal(unit_side(proj[:, None], np.ones(1), b), [-1.0, 1.0, 1.0])
     assert split_objective(proj, residuals, b) == 0.0
 
@@ -177,9 +184,44 @@ def test_optimal_bias_midpoint_does_not_overflow_near_double_range(sign):
     # lo + hi overflows for the flanking projections; the threshold must not.
     proj = np.sort(sign * np.array([1e308, 1.5e308, 1.7e308]))
     residuals = np.array([[0.0], [10.0], [10.0]])
-    b = optimal_bias(proj, residuals)
+    b, _ = optimal_bias(proj, residuals)
     assert math.isfinite(b)
     assert np.array_equal(unit_side(proj[:, None], np.ones(1), b), [-1.0, 1.0, 1.0])
+
+
+def test_optimal_bias_returns_the_split_it_realizes():
+    # compute_cd reads the split, not the rows: k must count the rows the bias
+    # puts on the negative side, and P and T must be the sums over the positive
+    # side and over all rows, on ties, adjacent doubles, constant projections
+    # and magnitudes near 1e300 alike.
+    rng = np.random.default_rng(29)
+
+    def adjacent(m):
+        # Runs of equal projections, each run one double above the last.
+        values = [rng.choice([-3.0, 0.0, 1.0, 2.0**53, 1e300])]
+        for _ in range(m):
+            values.append(np.nextafter(values[-1], math.inf))
+        return np.array(values)[np.sort(rng.integers(0, m, m))]
+
+    kinds = {
+        "ties": lambda m: rng.integers(-2, 3, m).astype(float),
+        "adjacent": adjacent,
+        "constant": lambda m: np.full(m, rng.normal()),
+        "huge": lambda m: rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 1.7, m) * 1e300,
+        "normal": lambda m: rng.normal(size=m),
+    }
+    for kind, projections in kinds.items():
+        for scale in (1e-300, 1.0, 1e300):
+            for _ in range(20):
+                m, dl = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+                proj = rng.permutation(projections(m))
+                residuals = rng.normal(size=(m, dl)) * scale
+                b, (k, pos, total) = optimal_bias(proj, residuals)
+                side = activate(proj + b, SIGN)
+                assert k == np.count_nonzero(proj + b < 0), kind
+                tol = 1e-12 * np.abs(residuals).sum(axis=0)
+                assert np.all(np.abs(pos - residuals[side > 0].sum(axis=0)) <= tol), kind
+                assert np.all(np.abs(total - residuals.sum(axis=0)) <= tol), kind
 
 
 @st.composite
@@ -204,8 +246,8 @@ def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
     w, features, residuals = problem
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        b = optimal_bias(features @ w, residuals)
-        scaled_b = optimal_bias(features @ w, np.ldexp(residuals, k))
+        b, _ = optimal_bias(features @ w, residuals)
+        scaled_b, _ = optimal_bias(features @ w, np.ldexp(residuals, k))
     assert scaled_b == b
 
 
@@ -213,8 +255,8 @@ def test_optimal_bias_invariant_under_power_of_two_label_scaling(problem, k):
 def test_optimal_bias_invariant_under_row_permutation_of_tied_designs(problem, data):
     w, features, residuals = problem
     perm = np.array(data.draw(st.permutations(range(len(features)))), dtype=int)
-    b = optimal_bias(features @ w, residuals)
-    assert optimal_bias(features[perm] @ w, residuals[perm]) == b
+    b, _ = optimal_bias(features @ w, residuals)
+    assert optimal_bias(features[perm] @ w, residuals[perm])[0] == b
     # Integer residuals tie often, so the oracle may pick another split of
     # equal objective; its objective is what must match.
     _, oracle_obj = brute_force_best_split(w, features, residuals)
@@ -223,20 +265,21 @@ def test_optimal_bias_invariant_under_row_permutation_of_tied_designs(problem, d
 
 
 def test_compute_cd_hand_example():
-    c, d = compute_cd(np.array([[1.0], [3.0]]), np.array([1.0, -1.0]))
+    residuals, side = np.array([[1.0], [3.0]]), np.array([1.0, -1.0])
+    c, d = compute_cd(2, side_split(residuals, side))
     assert c[0] == pytest.approx(-1.0)
     assert d[0] == pytest.approx(2.0)
 
 
 def test_compute_cd_constant_residuals():
-    c, d = compute_cd(np.full((5, 2), 7.0), np.array([1, -1, 1, -1, 1.0]))
+    c, d = compute_cd(5, side_split(np.full((5, 2), 7.0), np.array([1, -1, 1, -1, 1.0])))
     assert np.allclose(c, 0.0, atol=1e-15)
     assert np.allclose(d, 7.0, rtol=1e-15)
 
 
 def test_compute_cd_empty_side_convention():
     residuals = np.array([[2.0], [4.0]])
-    c, d = compute_cd(residuals, np.array([1.0, 1.0]))
+    c, d = compute_cd(2, side_split(residuals, np.array([1.0, 1.0])))
     assert c[0] == 0.0
     assert d[0] == pytest.approx(3.0)
 
@@ -250,7 +293,7 @@ def test_compute_cd_matches_least_squares_oracle():
         side = np.where(rng.normal(size=m) < 0, -1.0, 1.0)
         if np.all(side == side[0]):
             continue
-        c, d = compute_cd(residuals, side)
+        c, d = compute_cd(m, side_split(residuals, side))
         design = np.column_stack([side, np.ones(m)])
         for j in range(dl):
             coef, *_ = np.linalg.lstsq(design, residuals[:, j], rcond=None)
@@ -271,7 +314,7 @@ def test_fit_hyperplane_separates_constant_clusters():
     residuals = np.concatenate([np.zeros(20), np.full(20, 10.0)])[:, None]
     state = layer_state(features, residuals)
     w = state.fit_hyperplane(state.residuals)
-    b = optimal_bias(features @ w, state.residuals.T)
+    b, _ = optimal_bias(features @ w, state.residuals.T)
     side = unit_side(features, w, b)
     assert len(set(side[:20])) == 1 and len(set(side[20:])) == 1
     assert side[0] != side[-1]
@@ -285,8 +328,8 @@ def test_fit_hyperplane_duplicated_outputs_match_univariate():
     one = layer_state(features, col)
     two = layer_state(features, np.hstack([col, col]))
     w1, w2 = one.fit_hyperplane(one.residuals), two.fit_hyperplane(two.residuals)
-    b1 = optimal_bias(features @ w1, one.residuals.T)
-    b2 = optimal_bias(features @ w2, two.residuals.T)
+    b1, _ = optimal_bias(features @ w1, one.residuals.T)
+    b2, _ = optimal_bias(features @ w2, two.residuals.T)
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
     assert b1 == pytest.approx(b2, rel=1e-10)
     assert one.current_lambda == two.current_lambda
@@ -399,7 +442,7 @@ def test_add_neuron_refuses_a_unit_that_raises_the_error(monkeypatch):
     state.add_neuron()
     before = [a.copy() for a in state_arrays(state)]
     # coefficients that shift every residual away from its zero mean
-    monkeypatch.setattr("bannet.train.compute_cd", lambda r, side: (np.zeros(1), np.ones(1)))
+    monkeypatch.setattr("bannet.train.compute_cd", lambda m, split: (np.zeros(1), np.ones(1)))
     with pytest.raises(ZeroWeightVector):
         state.add_neuron()
     for got, want in zip(state_arrays(state), before):
@@ -414,7 +457,9 @@ def test_add_neuron_intercept_unit_is_the_zero_normal():
     state.add_neuron(intercept=True)
     assert np.array_equal(state.W, np.zeros((1, 3))) and state.b[0] == 1.0
     assert np.array_equal(state.C, np.zeros((2, 1)))
-    assert np.array_equal(state.head_bias, pre.mean(axis=1))
+    # d is the residual mean, from the total the bias scan sums for the zero normal.
+    _, (k, _, total) = optimal_bias(np.zeros(30), pre.T)
+    assert k == 0 and np.array_equal(state.head_bias, total / 30)
     # Its side is the head's constant column, so it adds no column.
     assert len(state._linv) == 1
     r = state.residuals
@@ -439,13 +484,14 @@ def test_unit_with_side_in_the_span_is_not_kept(monkeypatch, kind):
     want = {"constant": np.ones(80), "duplicate": unit_side(state.features, w0, b0),
             "complement": -unit_side(state.features, w0, b0)}[kind]
     assert np.array_equal(side, want)
-    c, d = compute_cd(state.residuals.T, side)
+    split = side_split(state.residuals.T, side)
+    c, d = compute_cd(80, split)
     left = state.residuals - (np.outer(c, side) + d[:, None])
     assert np.sum(left * left) < np.sum(state.residuals * state.residuals)
     before = [a.copy() for a in state_arrays(state)]
     pre = state.train_mse
     monkeypatch.setattr(state, "fit_hyperplane", lambda residuals: normal)
-    monkeypatch.setattr("bannet.train.optimal_bias", lambda proj, residuals: bias)
+    monkeypatch.setattr("bannet.train.optimal_bias", lambda proj, residuals: (bias, split))
     with pytest.raises(ZeroWeightVector, match="span"):
         state.add_neuron()
     for got, want in zip(state_arrays(state), before):

@@ -20,6 +20,10 @@ PINNED = {
         "plant": ([4, 16, 12, 1], 157, 21.300702607902053),
         "three_targets": ([8, 36, 3], 215, 1.7580208361029135),
     },
+    "0.3.0": {
+        "plant": ([4, 16, 12, 1], 157, 21.300702607902053),
+        "three_targets": ([8, 36, 3], 215, 1.7580208361029135),
+    },
 }
 
 

@@ -7,7 +7,10 @@ benchmark workloads from the seed with PARENT's ``perfbench/workloads.py``,
 then runs ``bannet train`` with each workload's options once per checkout,
 each run in its own subprocess with ``PYTHONPATH=<checkout>/src`` and BLAS on
 one thread. For each workload it prints how many trainings wrote identical
-``model.json``, ``summary.json`` and ``report.csv``. It compares the reports
+``model.json``, ``summary.json`` and ``report.csv``. Of the trainings whose
+``model.json`` differs, it prints how many keep the same architecture and the
+largest relative difference of any weight or bias among those, so a change
+in the last bits reads apart from a changed model. It compares the reports
 column by column, matched by header name, and prints for each column both
 sides write that differs in how many rows and by what largest relative
 difference, in how many reports a column is written by one side only, and in
@@ -45,6 +48,8 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+
+import numpy as np
 
 WORKLOADS = ("plant_deep", "rows_multi", "plant_headline")
 FILES = ("model.json", "summary.json", "report.csv")
@@ -123,6 +128,32 @@ def report_differences(a: bytes, b: bytes, columns: dict[str, list], notes: Coun
             entry[2] = max(entry[2], math.inf if math.isnan(rel) else rel)
 
 
+def model_difference(a: bytes, b: bytes) -> float | None:
+    """Largest relative difference of any weight or bias of two ``model.json``
+    files of the same architecture, or None when any layer's shape differs."""
+    arrays = []
+    for text in (a, b):
+        doc = json.loads(text)
+        arrays.append([np.array(layer[key], dtype=float)
+                       for layer in doc["hidden"] + [doc["output"]] for key in ("weights", "biases")])
+    if [x.shape for x in arrays[0]] != [y.shape for y in arrays[1]]:
+        return None
+    largest = 0.0
+    for x, y in zip(*arrays):
+        scale = np.maximum(np.abs(x), np.abs(y))
+        rel = np.divide(np.abs(x - y), scale, out=np.zeros_like(scale), where=x != y)
+        largest = max(largest, float(rel.max(initial=0.0)))
+    return largest
+
+
+def model_line(differences: list[float | None]) -> str:
+    """How many of the trainings with a differing model.json keep the same
+    architecture, and the largest weight or bias difference among those."""
+    same = [rel for rel in differences if rel is not None]
+    line = f"  model.json differs in {len(differences)}: same architecture in {len(same)}"
+    return line + (f", largest relative weight or bias difference {max(same):.3g}" if same else "")
+
+
 def quality_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
     """For each QUALITY key of the (parent, change) summaries of the trainings
     both sides finished: each side's median, and in how many the change's value
@@ -155,6 +186,7 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     columns: dict[str, list] = {}
     notes: Counter = Counter()
     summaries: list[tuple[dict, dict]] = []
+    model_differences: list[float | None] = []
     failures = 0
     usage: tuple[list, list] = ([], [])  # per side, [peak MB, CPU s] of each training
     for path in workload.paths:
@@ -173,6 +205,9 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
             files = [{f: _read(os.path.join(out, f)) for f in FILES} for out in outs]
             for f in FILES:
                 identical[f] += files[0][f] == files[1][f]
+            if files[0]["model.json"] != files[1]["model.json"]:
+                model_differences.append(
+                    model_difference(files[0]["model.json"], files[1]["model.json"]))
             report_differences(files[0]["report.csv"], files[1]["report.csv"], columns, notes)
             summaries.append(tuple(json.loads(side["summary.json"]) for side in files))
         for out in outs:
@@ -181,6 +216,8 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
     print(f"{name}: {runs} trainings, seed {seed}, {failures} failed")
     for f in FILES:
         print(f"  {f} identical: {identical[f]} of {runs}")
+    if model_differences:
+        print(model_line(model_differences))
     for line in quality_lines(summaries):
         print(line)
     for side, side_usage in zip(("parent", "change"), usage):
