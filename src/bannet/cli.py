@@ -32,6 +32,7 @@ from .model import (
     forward,  # unused here; perfbench/tracing.py times calls through this name
     load_model,
     mse,
+    propagate,
     reparametrize_activation,
     save_model,
     squared_error_sums,
@@ -161,9 +162,9 @@ def run_evaluate(model_path: str, data_path: str, labels: str | None) -> int:
         raise DataError(
             f"model outputs {model.out_width} values, data has {data.n_labels} labels"
         )
-    chain = partition_chain(model, data)  # its deepest partition gets one output per region
-    pred = (chain[-1].reps @ model.output.weights.T + model.output.biases)[chain[-1].region]
-    total, per_output = squared_error_sums(pred, data.labels)
+    chain, depth = partition_chain(model, data), len(model.hidden)
+    pred = propagate(model, chain[-1].reps, depth, True, start=depth)  # one output per region
+    total, per_output = squared_error_sums(pred[chain[-1].region], data.labels)
     print(f"mse: {total / data.m!r}")
     print("per-output mse: " + ", ".join(repr(float(v)) for v in per_output / data.m))
     for part in chain[1:]:

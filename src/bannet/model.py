@@ -26,7 +26,7 @@ BLOCK_VALUES = 1 << 16
 
 
 def _readonly(values, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")
     if arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -177,11 +177,13 @@ def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0)
 
     Rows go through all layers a block at a time, and a block holds at most
     BLOCK_VALUES activations of the widest layer, so no temporary grows with
-    the batch. Rows are independent, so blocking changes no value beyond the
-    last-bit rounding that BLAS may do differently for another row count.
-    A block's bits go into one bool buffer of whole 64-bit rows, allocated
-    once per call and zero beyond the layer's width, and one flat
-    ``np.packbits`` of it gives the block's keys.
+    the batch. BLAS may round a hidden unit differently for another row
+    count, which moves a pattern only at a tie. The output layer reduces each
+    row on its own (``einsum`` without ``optimize``): no output depends on
+    the blocks, and applied to patterns (start = upto) it gives the outputs
+    of their rows bit for bit. A block's bits go into one bool buffer of
+    whole 64-bit rows, allocated once per call and zero beyond the layer's
+    width, and one flat ``np.packbits`` of it gives the block's keys.
     """
     if not with_output and not 0 <= start < upto <= len(model.hidden):
         raise DimensionError(f"hidden layers {start + 1}..{upto} out of range 1..{len(model.hidden)}")
@@ -206,12 +208,13 @@ def propagate(model: BannModel, x, upto: int, with_output: bool, start: int = 0)
         below = np.zeros((min(step, len(batch)), 64 * words), bool)  # columns >= width stay 0
     for row in range(0, batch.shape[0], step):
         block = batch[row : row + step]
-        for i, layer in enumerate(layers, start=1):
+        for k, layer in enumerate(model.hidden[start:upto], start=start + 1):
             block = block @ layer.weights.T
             block += layer.biases
-            block = activate(block, model.activation) if i < len(layers) else block
+            block = activate(block, model.activation) if with_output or k < upto else block
         if with_output:
-            out[row : row + step] = block
+            out[row : row + step] = np.einsum("ij,kj->ik", block, model.output.weights)
+            out[row : row + step] += model.output.biases
         else:
             n = len(block)
             np.less(block, model.activation.t, out=below[:n, :width])

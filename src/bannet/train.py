@@ -184,21 +184,19 @@ class LayerState:
     ``targets`` keeps the layer's targets in the same layout.
 
     Every per-unit store is allocated once, with ``np.empty``, for the unit
-    cap ``max_units``: a page is touched only when a unit writes it. ``W``,
-    ``b``, ``C``, ``_linv`` and ``_rhs`` are leading views of their stores.
-    Unit k lives at index k of ``W`` (units x p, one normal per row), ``b``
-    and ``C`` (dl x units, the output head's weights); ``head_bias`` is the
-    head's (dl,) bias. The head's columns [1; S] are the constant and each
-    unit's +/-1 side, kept as int8 rows over the training and validation rows
-    in ``_sides`` and ``_val_sides`` for the refit's float products, and over
-    the training rows in ``_bits``, one bit per row set where the side is -1
-    (``np.packbits`` order, zero padding to whole uint64 words; the constant
-    row has no bit set). Their Gram matrix G has integer entries, exact in
-    float64: a new side's column is m less twice the popcount of its bits xor
-    each row's. ``_linv`` is the inverse of G's lower Cholesky factor and
-    ``_rhs`` is [1; S] targets^T. ``val_pred``, the output-major validation
-    prediction, follows every kept change at once, so residuals, units, head
-    and ``val_pred`` agree.
+    cap ``max_units``: a page is touched only when a unit writes it. Unit k
+    lives at index k of ``W`` (one normal per row) and ``b``, and at row k + 1
+    of the head's stores. The head's columns [1; S], the constant and each
+    unit's +/-1 side, are int8 rows over the training and validation rows in
+    ``_sides`` and ``_val_sides`` (the next layer's inputs), and bits in
+    ``_bits``, set where the side is -1 (``np.packbits`` order, padded to
+    whole uint64 words). Their Gram matrix G is integer, exact in float64: a
+    new side's column is m less twice the popcount of its bits xor each
+    row's. ``_linv`` inverts G's lower Cholesky factor, ``_rhs`` is [1; S]
+    targets^T, and the head's C-order rows [bias; C^T] are ``_head``, of
+    which ``head_bias`` and ``C`` (dl x units) are views; ``val_mse`` applies
+    it to the validation sides. ``W``, ``b``, ``C``, ``_linv`` and ``_rhs``
+    are leading views of their stores.
     """
 
     def __init__(
@@ -223,24 +221,27 @@ class LayerState:
                 or (vx.shape[1:], vy.shape[1:]) != (x.shape[1:], y.shape[1:])):
             raise DimensionError(f"validation features and labels have shapes {vx.shape} and "
                                  f"{vy.shape}, training ones {x.shape} and {y.shape}")
-        self.val_pred = np.zeros_like(self.val_targets.T, order="C")
         self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
         dl, cols = len(self.residuals), max_units + 1  # the constant and a column per unit
         self._W, self._b = np.empty((max_units, x.shape[1])), np.empty(max_units)
-        self._C = np.empty((dl, max_units))
-        self.W, self.b, self.C = self._W[:0], self._b[:0], self._C[:, :0]
-        self.head_bias = np.zeros(dl)
+        self._head = np.empty((cols, dl))
+        self.W, self.b, self.C = self._W[:0], self._b[:0], self._head[1:1].T
         self._sides, self._val_sides = (np.empty((cols, n), np.int8) for n in (self.m, len(vx)))
         self._bits = np.empty((cols, -(-self.m // 64)), np.uint64)
         self._linv_store, self._rhs_store = np.empty((cols, cols)), np.empty((cols, dl))
-        self._sides[0], self._val_sides[0], self._bits[0] = 1, 1, 0
+        self._sides[0], self._val_sides[0], self._bits[0], self._head[0] = 1, 1, 0, 0.0
+        self.head_bias = self._head[0]
         self._linv_store[0, 0], self._rhs_store[0] = 1.0 / math.sqrt(self.m), self.targets.sum(1)
         self._linv, self._rhs = self._linv_store[:1, :1], self._rhs_store[:1]
 
     def val_mse(self) -> float:
-        return squared_error_sums(self.val_pred.T, self.val_targets)[0] / self.val_targets.shape[0]
+        n = len(self._linv)  # an intercept unit adds no side row; its weight is 0
+        pred = np.empty_like(self.val_targets.T, order="C")
+        for cols, s in _side_blocks(self._val_sides[:n]):
+            pred[:, cols] = self._head[:n].T @ s
+        return squared_error_sums(pred.T, self.val_targets)[0] / self.val_targets.shape[0]
 
     def fit_hyperplane(self, residuals: np.ndarray) -> np.ndarray:
         """Sparse fit to (dl, m) residuals for the unit's normal only; advances
@@ -297,25 +298,22 @@ class LayerState:
         left = units_forward(c, d, side)
         np.subtract(self.residuals, left, out=left)
         post = float(np.einsum("ij,ij->", left, left) / self.m)
-        val_side = activate(self.val_features @ w + b, SIGN)
         if not intercept:
             if post > pre:
                 raise ZeroWeightVector("no hyperplane lowers the training error")
-            self._add_column(side, val_side)
+            self._add_column(side, activate(self.val_features @ w + b, SIGN))
         self.residuals, self.train_mse = left, post
         t = len(self.b)
-        self._W[t], self._b[t], self._C[:, t] = w, b, c
-        self.W, self.b, self.C = self._W[: t + 1], self._b[: t + 1], self._C[:, : t + 1]
-        self.head_bias = self.head_bias + d
-        self.val_pred += units_forward(c, d, val_side)
+        self._W[t], self._b[t], self._head[t + 1], self._head[0] = w, b, c, self.head_bias + d
+        self.W, self.b, self.C = self._W[: t + 1], self._b[: t + 1], self._head[1 : t + 2].T
         return pre - post, float(np.sum(c * c - d * d))
 
     def replace_pass(self) -> tuple[float, float]:
-        """Refit C and ``head_bias`` by least squares on [1; S], G beta = [1; S]
-        targets^T, with residuals and ``val_pred``, if that strictly lowers the
-        training error; a lone unit's c and d already are that fit. Returns the
-        gain, 0 if not kept, and the largest residual sum after it (see
-        _largest_side_sum). The benchmark's tracer wraps this name."""
+        """Refit the head by least squares on [1; S], G beta = [1; S] targets^T,
+        with the residuals, if that strictly lowers the training error; a lone
+        unit's c and d already are that fit. Returns the gain, 0 if not kept,
+        and the largest residual sum after it (see _largest_side_sum). The
+        benchmark's tracer wraps this name."""
         n = len(self._linv)
         if len(self.b) > 1:
             beta = self._linv.T @ (self._linv @ self._rhs)  # (n, dl)
@@ -326,9 +324,7 @@ class LayerState:
             post = float(np.einsum("ij,ij->", left, left) / self.m)
             if post < self.train_mse:
                 gain, self.residuals, self.train_mse = self.train_mse - post, left, post
-                self.C[:], self.head_bias = beta[1:].T, beta[0]
-                for cols, s in _side_blocks(self._val_sides[:n]):
-                    self.val_pred[:, cols] = beta.T @ s
+                self._head[:n] = beta
                 return gain, _largest_side_sum(sums)
         sums = sum(s @ self.residuals[:, cols].T for cols, s in _side_blocks(self._sides[:n]))
         return 0.0, _largest_side_sum(sums)
@@ -340,6 +336,7 @@ class LayerResult:
     record: IterationRecord
     aborted: bool
     current_lambda: float
+    sides: tuple[np.ndarray, np.ndarray]  # the kept units' int8 sides, training then validation
 
     @property
     def width(self) -> int:
@@ -368,7 +365,8 @@ def build_layer(
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
     state = LayerState(features, targets, val_features, val_targets, cfg.lasso,
-                       current_lambda or cfg.lasso.lambda0, cfg.max_neurons_per_layer)
+                       cfg.lasso.lambda0 if current_lambda is None else current_lambda,
+                       cfg.max_neurons_per_layer)
     frozen_nnz = count_nonzero(*(a for layer in kept for a in (layer.weights, layer.biases)))
 
     best: tuple[IterationRecord, LayerParams] | None = None
@@ -406,8 +404,8 @@ def build_layer(
 
     record, head = best
     grown = LayerParams(state.W[: record.t], state.b[: record.t])
-    return LayerResult(BannModel(SIGN, kept + (grown,), head), record, aborted,
-                       state.current_lambda)
+    return LayerResult(BannModel(SIGN, kept + (grown,), head), record, aborted, state.current_lambda,
+                       (state._sides[1 : record.t + 1], state._val_sides[1 : record.t + 1]))
 
 
 def build_network(
@@ -416,11 +414,11 @@ def build_network(
     val_data: Dataset,
 ) -> tuple[BannModel, TrainReport]:
     """Build the full network: grow the first hidden layer on the raw
-    features, then repeatedly map all rows through the frozen layers, reset
-    the residuals to the original labels, and grow another layer on the +/-1
-    patterns. Validation error sets each layer's width (see build_layer), and
-    a deeper layer is kept only when its best validation error improves on
-    the incumbent network's; the kept layer's linear head becomes the model
+    features, then repeatedly grow another on the +/-1 sides of the last
+    layer's kept units, with residuals reset to the original labels.
+    Validation error sets each layer's width (see build_layer), and a deeper
+    layer is kept only when its best validation error improves on the
+    incumbent network's; the kept layer's linear head becomes the model
     output.
     """
     report = TrainReport()
@@ -446,10 +444,7 @@ def build_network(
         incumbent = result
         if result.aborted or depth == cfg.max_hidden_layers:
             break
-        # The new layer's +/-1 patterns, one select on x @ W.T + b as a unit's sides are.
-        grown = result.network.hidden[-1]
-        train_x, val_x = (activate(np.add(z, grown.biases, out=z), SIGN)
-                          for z in (x @ grown.weights.T for x in (train_x, val_x)))
+        train_x, val_x = (np.array(s.T, dtype=float, order="C") for s in result.sides)
 
     model = incumbent.network
 

@@ -182,6 +182,30 @@ def test_evaluate_consistent_with_report(tmp_path, capsys):
     assert "nonzero parameters:" in printed
 
 
+def test_evaluate_prints_the_mse_of_forward_bit_for_bit(tmp_path, capsys):
+    # evaluate applies the output layer once per region, forward once per row;
+    # both reduce each row on its own, so the printed figures are mse's reprs.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2000, 8))
+    y = np.column_stack([np.sin(2.0 * x[:, 0]) + x[:, 1] * x[:, 2], 1.5 * x[:, 3] - 2.0 * x[:, 5],
+                         np.cos(x[:, 4])]) + 0.3 * rng.normal(size=(2000, 3))
+    data = tmp_path / "d.csv"
+    header = ",".join([f"x{j}" for j in range(8)] + [f"y{j}" for j in range(3)])
+    np.savetxt(data, np.column_stack([x, y]), fmt="%.17g", delimiter=",", comments="",
+               header=header)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--labels", "3", "--max-layers", "1",
+                 "--max-neurons", "40", "--patience", "40", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(out / "model.json"), "--data", str(data)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    model, rows = load_model(str(out / "model.json")), load_csv(str(data), 3)
+    assert model.out_width == 3 and model.hidden[0].width > 1
+    assert printed[0] == f"mse: {mse(model, rows)!r}"
+    per_output = ((forward(model, rows.features) - rows.labels) ** 2).sum(axis=0) / rows.m
+    assert printed[1] == "per-output mse: " + ", ".join(repr(float(v)) for v in per_output)
+
+
 def test_evaluate_dimension_mismatch_exit_code(tmp_path):
     data = tmp_path / "d.csv"
     write_dataset(data, seed=7)
@@ -234,7 +258,7 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
     # real widths. The second run, on sign-product targets, grows a second
     # layer of 60 units on the first layer's +/-1 outputs. The sums feed the
     # report and every accept/reject decision, so they are reduced in an
-    # order no thread count changes.
+    # order no thread count changes; so are the outputs that evaluate prints.
     rng = np.random.default_rng(0)
     x, noise = rng.normal(size=(20_000, 8)), 0.3 * rng.normal(size=(20_000, 6))
     s = np.sign(x)
@@ -259,6 +283,11 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert done.returncode == 0, done.stderr
             outputs.append({f: (out / f).read_bytes()
                             for f in ("model.json", "summary.json", "report.csv")})
+            evaluated = run_cli_process(
+                ["evaluate", "--model", str(out / "model.json"), "--data", str(data)],
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            assert evaluated.returncode == 0, evaluated.stderr
+            outputs[-1]["evaluate"] = evaluated.stdout
         assert outputs[0] == outputs[1], name
         assert f"\n{layers},60," in outputs[0]["report.csv"].decode()
 

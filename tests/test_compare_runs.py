@@ -74,3 +74,15 @@ def test_model_difference_reads_apart_last_bits_from_a_changed_architecture():
         "  model.json differs in 3: same architecture in 2, "
         "largest relative weight or bias difference 3e-12")
     assert compare_runs.model_line([None]) == "  model.json differs in 1: same architecture in 0"
+
+
+def test_summary_line_gives_each_numeric_fields_largest_difference():
+    parent = {"architecture": [4, 16, 1], "depth": 1, "test_mse": 2.0, "val_mse": 1.0,
+              "nonzero_parameters": 40, "rows": {"train": 10}}
+    last_bit = dict(parent, test_mse=math.nextafter(2.0, 3.0))
+    changed = dict(parent, val_mse=1.5, nonzero_parameters=50, architecture=[4, 17, 1])
+    assert compare_runs.summary_line([(parent, parent)]) is None
+    assert compare_runs.summary_line([(parent, last_bit), (parent, parent), (parent, changed)]) == (
+        "  summary.json differs in 2: largest relative difference depth 0, test_mse 2.22e-16, "
+        "val_mse 0.333, nonzero_parameters 0.2")
+    assert compare_runs.relative_difference(1.0, math.nan) == math.inf

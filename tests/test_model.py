@@ -193,6 +193,21 @@ def test_blocked_forward_and_patterns_match_unblocked_bit_for_bit():
         assert hidden_pattern(model, x[:0], k).shape == (0, widths[k])
 
 
+def test_forward_outputs_do_not_depend_on_block_size(monkeypatch):
+    # Weights and inputs that no sum holds exactly: each output row is still
+    # reduced on its own, so a block of one row and one of 546 give its bytes.
+    rng = np.random.default_rng(12)
+    hidden = LayerParams(rng.normal(size=(120, 8)), rng.normal(size=120))
+    model = BannModel(SIGN, (hidden,), LayerParams(rng.normal(size=(3, 120)), rng.normal(size=3)))
+    x = rng.normal(size=(3000, 8))
+    outputs = []
+    for block_values in (1 << 16, 1 << 6):
+        monkeypatch.setattr("bannet.model.BLOCK_VALUES", block_values)
+        outputs.append(forward(model, x))
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    assert forward(model, x[17]).tobytes() == outputs[0][17].tobytes()
+
+
 @pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
 def test_packed_keys_are_packbits_of_the_bits_padded_to_whole_words(width):
     # The keys themselves, not their unpacked patterns: a padding bit left

@@ -42,12 +42,21 @@ def unit_side(features, w, b):
     return np.where(features @ w + b < 0, -1.0, 1.0)
 
 
-def state_arrays(state):
-    """Everything a unit change or head fit may write: residuals, units, head,
-    validation prediction and the head's columns, bits included, with their factor."""
+def val_prediction(state):
+    """Output-major validation prediction that the head makes on the stored
+    validation sides: bias + C S_val (an intercept unit's zero weight has no side)."""
     n = len(state._linv)
-    return (state.residuals, state.W, state.b, state.C, state.head_bias, state.val_pred,
-            state._sides[:n], state._val_sides[:n], state._bits[:n], state._linv, state._rhs)
+    return state.head_bias[:, None] + state.C[:, : n - 1] @ state._val_sides[1:n]
+
+
+def state_arrays(state):
+    """Everything a unit change or head fit may write: residuals, units, head
+    and the head's columns, bits included, with their factor; and what follows
+    from them, the validation prediction and error."""
+    n = len(state._linv)
+    return (state.residuals, state.W, state.b, state.C, state.head_bias, val_prediction(state),
+            np.array(state.val_mse()), state._sides[:n], state._val_sides[:n], state._bits[:n],
+            state._linv, state._rhs)
 
 
 def poison_empty(monkeypatch):
@@ -501,7 +510,8 @@ def test_unit_with_side_in_the_span_is_not_kept(monkeypatch, kind):
     gain, imbalance = state.replace_pass()
     assert state.train_mse <= pre and imbalance <= 1e-9 * 80
     assert (gain > 0) == (kind != "constant")
-    assert np.all(np.isfinite(state.C)) and np.all(np.isfinite(state.val_pred))
+    assert np.all(np.isfinite(state.C)) and np.all(np.isfinite(val_prediction(state)))
+    assert math.isfinite(state.val_mse())
 
 
 @pytest.mark.parametrize("m", [2, 7, 8, 9, 127, 128, 129])
@@ -671,7 +681,10 @@ def test_kept_refits_leave_state_consistent():
             state.add_neuron()
         arrays = (state.W, state.b, state.C, state.head_bias)
         val_want = head_prediction(arrays, val_x)
-        assert np.max(np.abs(state.val_pred.T - val_want)) <= 1e-12 * np.max(np.abs(val_want))
+        val_got = val_prediction(state).T
+        assert np.max(np.abs(val_got - val_want)) <= 1e-12 * np.max(np.abs(val_want))
+        val_err = float(np.sum((val_y - val_want) ** 2)) / len(val_y)
+        assert state.val_mse() == pytest.approx(val_err, rel=1e-12)
         train_want = y - head_prediction(arrays, x)
         assert np.max(np.abs(state.residuals.T - train_want)) <= 1e-12 * np.max(np.abs(y))
     assert kept >= 1
@@ -797,6 +810,40 @@ def test_build_layer_kept_network_survives_later_replacements(monkeypatch):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_validation_rows_never_change_units_or_head(monkeypatch):
+    # Validation decides only where growth stops and which width is kept.
+    # With patience equal to the unit cap, growth never stops early, so two
+    # validation sets, of different sizes, see the same units and heads.
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(300, 3))
+    y = np.sin(2 * x) @ rng.normal(size=(3, 2)) + 0.1 * rng.normal(size=(300, 2))
+    cfg = TrainConfig(max_neurons_per_layer=12, max_hidden_layers=1, patience=12)
+    captured, runs = capture_layer_arrays(monkeypatch), []
+    for rows in (40, 90):
+        records = []
+        build_layer(x, y, rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2)), cfg,
+                    records=records)
+        runs.append(records)
+    first_records, second_records = runs
+    first, second = captured[:12], captured[12:]
+    assert len(second) == 12
+    for a, b in zip(first, second, strict=True):
+        for got, want in zip(a, b, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for a, b in zip(first_records, second_records, strict=True):
+        assert dataclasses.replace(a, val_mse=0.0) == dataclasses.replace(b, val_mse=0.0)
+
+
+def test_build_layer_refuses_a_zero_penalty():
+    # Only a missing penalty falls back to lambda0; an explicit 0 is refused.
+    rng = np.random.default_rng(42)
+    x, y = rng.normal(size=(30, 2)), rng.normal(size=(30, 1))
+    cfg = TrainConfig(max_neurons_per_layer=3, max_hidden_layers=1, patience=3)
+    assert build_layer(x, y, x, y, cfg, current_lambda=None).width >= 1
+    with pytest.raises(ValueError, match="current_lambda must be positive"):
+        build_layer(x, y, x, y, cfg, current_lambda=0.0)
+
+
 @pytest.mark.parametrize("cap", [1, 16])
 def test_build_layer_grows_to_the_unit_cap(monkeypatch, cap):
     # A layer that never stops early writes the last entry of every store
@@ -868,6 +915,31 @@ def test_build_network_deep_patterns_shrink():
         # second-layer inputs are sign patterns
         patterns = hidden_pattern(model, x, 1)
         assert set(np.unique(patterns)) <= {-1.0, 1.0}
+
+
+def test_kept_second_layer_trains_on_the_first_layers_patterns(monkeypatch):
+    # The second layer's training and validation inputs are its first layer's
+    # +/-1 patterns of those rows, as propagate gives them, bit for bit.
+    rng = np.random.default_rng(2)  # a draw whose second layer is kept
+    x = rng.normal(size=(300, 3))
+    y = np.sign(x[:, :1] * x[:, 1:2]) + 0.3 * np.sin(3 * x[:, 2:3])
+    y += 0.1 * rng.normal(size=(300, 1))
+    train, val, _ = split_dataset(Dataset(x, y), SplitSpec(seed=2))
+    inputs = {}
+    grow = build_layer
+
+    def recording(features, targets, val_features, *args, **kwargs):
+        inputs[kwargs["layer_index"]] = features, val_features
+        return grow(features, targets, val_features, *args, **kwargs)
+
+    monkeypatch.setattr("bannet.train.build_layer", recording)
+    cfg = TrainConfig(max_neurons_per_layer=8, max_hidden_layers=2, patience=8)
+    model, _ = build_network(train, cfg, val_data=val)
+    assert len(model.hidden) == 2 and model.hidden[1].width > 1
+    for got, rows in zip(inputs[2], (train, val), strict=True):
+        want = hidden_pattern(model, rows.features, 1)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_build_network_monotone_training_error_within_layer():

@@ -10,7 +10,9 @@ one thread. For each workload it prints how many trainings wrote identical
 ``model.json``, ``summary.json`` and ``report.csv``. Of the trainings whose
 ``model.json`` differs, it prints how many keep the same architecture and the
 largest relative difference of any weight or bias among those, so a change
-in the last bits reads apart from a changed model. It compares the reports
+in the last bits reads apart from a changed model. Of the trainings whose
+``summary.json`` differs, it prints the largest relative difference of each
+numeric field, so a last-bit MSE change reads apart too. It compares the reports
 column by column, matched by header name, and prints for each column both
 sides write that differs in how many rows and by what largest relative
 difference, in how many reports a column is written by one side only, and in
@@ -122,10 +124,30 @@ def report_differences(a: bytes, b: bytes, columns: dict[str, list], notes: Coun
             entry[1] += 1
             if row_a[i] == row_b[j]:
                 continue
-            x, y = float(row_a[i]), float(row_b[j])
             entry[0] += 1
-            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
-            entry[2] = max(entry[2], math.inf if math.isnan(rel) else rel)
+            entry[2] = max(entry[2], relative_difference(float(row_a[i]), float(row_b[j])))
+
+
+def relative_difference(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|): 0 for equal values, inf where either is NaN."""
+    rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+    return math.inf if math.isnan(rel) else rel
+
+
+def summary_line(pairs: list[tuple[dict, dict]]) -> str | None:
+    """For the (parent, change) summaries that differ, how many they are and
+    the largest relative difference of each numeric field both write; None
+    when every summary is identical."""
+    differ = [(a, b) for a, b in pairs if a != b]
+    if not differ:
+        return None
+    largest: dict[str, float] = {}
+    for a, b in differ:
+        for key, x in a.items():
+            if type(x) in (int, float) and type(b.get(key)) in (int, float):
+                largest[key] = max(largest.get(key, 0.0), relative_difference(x, b[key]))
+    fields = ", ".join(f"{key} {rel:.3g}" for key, rel in largest.items())
+    return f"  summary.json differs in {len(differ)}: largest relative difference {fields}"
 
 
 def model_difference(a: bytes, b: bytes) -> float | None:
@@ -218,6 +240,8 @@ def compare_workload(name, workload, seed, parent, change, workdir) -> int:
         print(f"  {f} identical: {identical[f]} of {runs}")
     if model_differences:
         print(model_line(model_differences))
+    if (line := summary_line(summaries)) is not None:
+        print(line)
     for line in quality_lines(summaries):
         print(line)
     for side, side_usage in zip(("parent", "change"), usage):
