@@ -38,7 +38,6 @@ from .model import (
     squared_error_sums,
     write_atomic,
 )
-from .solvers import LassoConfig
 from .train import TrainConfig, build_network
 
 
@@ -62,7 +61,6 @@ class RunManifest:
     max_neurons: int = TrainConfig.max_neurons_per_layer
     max_layers: int = TrainConfig.max_hidden_layers
     patience: int = TrainConfig.patience
-    lambda0: float = LassoConfig.lambda0
     out_dir: str = "."
     software_version: str = __version__
 
@@ -71,8 +69,7 @@ class RunManifest:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(max_neurons_per_layer=self.max_neurons,
-                           max_hidden_layers=self.max_layers, patience=self.patience,
-                           lasso=LassoConfig(self.lambda0))
+                           max_hidden_layers=self.max_layers, patience=self.patience)
 
 
 def load_manifest(path: str) -> RunManifest:
@@ -120,13 +117,13 @@ def run_train(manifest: RunManifest) -> int:
     save_model(model, model_path)
     report.write_csv(report_path)
 
-    test_mse = mse(model, test)
+    test_mse, final = mse(model, test), report.records[-1]
     summary = {
-        "architecture": report.architecture,
+        "architecture": model.architecture(),
         "depth": len(model.hidden),
         "width": max(layer.width for layer in model.hidden),
-        "train_mse": report.final_train_mse,
-        "val_mse": report.final_val_mse,
+        "train_mse": final.train_mse,
+        "val_mse": final.val_mse,
         "test_mse": test_mse,
         "nonzero_parameters": count_nonzero_parameters(model),
         "rows": {"train": train.m, "val": val.m, "test": test.m},
@@ -134,10 +131,10 @@ def run_train(manifest: RunManifest) -> int:
     write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
     write_atomic(os.path.join(out, "manifest.json"), json.dumps(asdict(manifest), indent=2) + "\n")
 
-    arch = "-".join(str(w) for w in report.architecture)
+    arch = "-".join(str(w) for w in summary["architecture"])
     print(f"architecture: {arch} (depth {summary['depth']}, width {summary['width']})")
-    print(f"train mse: {report.final_train_mse:.6g}")
-    print(f"val mse:   {report.final_val_mse:.6g}")
+    print(f"train mse: {final.train_mse:.6g}")
+    print(f"val mse:   {final.val_mse:.6g}")
     print(f"test mse:  {test_mse:.6g}")
     print(f"nonzero parameters: {summary['nonzero_parameters']}")
     print(f"wrote {model_path}, {report_path}")
@@ -235,7 +232,6 @@ def build_parser() -> _Parser:
         train.add_argument("--max-layers", type=int),
         train.add_argument("--max-neurons", type=int),
         train.add_argument("--patience", type=int),
-        train.add_argument("--lambda0", type=float),
         train.add_argument("--out", dest="out_dir", help="output directory"),
     ]
     train.add_argument("--from-manifest", help="rerun a recorded manifest")

@@ -34,8 +34,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 @dataclass(frozen=True)
 class LassoConfig:
@@ -44,17 +42,13 @@ class LassoConfig:
     ``max_divisions`` times per fit. ``max_steps`` caps the active-set steps
     of one fit, each entering or dropping a coordinate; a fit at the cap is
     flagged not converged. A converged fit has |c_j| <= lambda + kkt_slack at
-    every zero coordinate. Only ``lambda0`` is a setting."""
+    every zero coordinate. None is a setting."""
 
-    lambda0: float = 1e5
+    lambda0: ClassVar[float] = 1e5
     divisor: ClassVar[float] = 1.5
     max_divisions: ClassVar[int] = 200
     max_steps: ClassVar[int] = 10_000
     kkt_slack: ClassVar[float] = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.lambda0 < math.inf:
-            raise ConfigError("lambda0 must be positive and finite")
 
 
 @dataclass

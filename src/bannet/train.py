@@ -37,15 +37,17 @@ from .model import (
 )
 from .solvers import LassoConfig, StandardizedDesign, scheduled_lasso_fit
 
+_LASSO = LassoConfig()
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Growth limits; every field is a setting."""
+    """Growth limits, the only settings of training; every field is one. The
+    penalty schedule and its solver limits are LassoConfig's constants."""
 
     max_neurons_per_layer: int = 500
     max_hidden_layers: int = 3
     patience: int = 20
-    lasso: LassoConfig = field(default_factory=LassoConfig)
 
     def __post_init__(self):
         if self.max_neurons_per_layer < 1:
@@ -74,10 +76,9 @@ class IterationRecord:
 
 @dataclass
 class TrainReport:
+    """The records of a training; the last restates the returned model."""
+
     records: list[IterationRecord] = field(default_factory=list)
-    architecture: list[int] = field(default_factory=list)
-    final_train_mse: float = math.nan
-    final_val_mse: float = math.nan
 
     def write_csv(self, path: str) -> None:
         names = [f.name for f in fields(IterationRecord)]
@@ -183,10 +184,11 @@ class LayerState:
     ``train_mse`` is their mean square, set whenever they are replaced, and
     ``targets`` keeps the layer's targets in the same layout.
 
-    Every per-unit store is allocated once, with ``np.empty``, for the unit
-    cap ``max_units``: a page is touched only when a unit writes it. Unit k
-    lives at index k of ``W`` (one normal per row) and ``b``, and at row k + 1
-    of the head's stores. The head's columns [1; S], the constant and each
+    Every per-unit store is allocated once, with ``np.empty``, for
+    min(``max_units``, m) units, since [1; S] has at most m independent
+    columns; a page is touched only when a unit writes it. Unit k lives at
+    index k of ``W`` (one normal per row) and ``b``, and at row k + 1 of the
+    head's stores. The head's columns [1; S], the constant and each
     unit's +/-1 side, are int8 rows over the training and validation rows in
     ``_sides`` and ``_val_sides`` (the next layer's inputs), and bits in
     ``_bits``, set where the side is -1 (``np.packbits`` order, padded to
@@ -205,7 +207,6 @@ class LayerState:
         targets: np.ndarray,
         val_features: np.ndarray,
         val_targets: np.ndarray,
-        lasso_cfg: LassoConfig,
         current_lambda: float,
         max_units: int,
     ):
@@ -221,11 +222,11 @@ class LayerState:
                 or (vx.shape[1:], vy.shape[1:]) != (x.shape[1:], y.shape[1:])):
             raise DimensionError(f"validation features and labels have shapes {vx.shape} and "
                                  f"{vy.shape}, training ones {x.shape} and {y.shape}")
-        self.lasso_cfg = lasso_cfg
         self.current_lambda = current_lambda
         self.design = StandardizedDesign(self.features)
-        dl, cols = len(self.residuals), max_units + 1  # the constant and a column per unit
-        self._W, self._b = np.empty((max_units, x.shape[1])), np.empty(max_units)
+        units = min(max_units, self.m)
+        dl, cols = len(self.residuals), units + 1  # the constant and a column per unit
+        self._W, self._b = np.empty((units, x.shape[1])), np.empty(units)
         self._head = np.empty((cols, dl))
         self.W, self.b, self.C = self._W[:0], self._b[:0], self._head[1:1].T
         self._sides, self._val_sides = (np.empty((cols, n), np.int8) for n in (self.m, len(vx)))
@@ -248,12 +249,12 @@ class LayerState:
         the penalty schedule. Raises SolverError when the lasso solve hits its
         step cap, ZeroWeightVector when the schedule ends at the zero normal."""
         sched = scheduled_lasso_fit(
-            self.design, residuals.mean(axis=0), self.lasso_cfg, self.current_lambda
+            self.design, residuals.mean(axis=0), _LASSO, self.current_lambda
         )
         if not sched.converged:
             raise SolverError(
                 f"lasso solve at lambda {sched.used_lambda!r} did not converge within "
-                f"{self.lasso_cfg.max_steps} steps"
+                f"{_LASSO.max_steps} steps"
             )
         self.current_lambda = sched.used_lambda
         if not sched.has_nonzero:
@@ -350,13 +351,15 @@ def build_layer(
     val_targets: np.ndarray,
     cfg: TrainConfig,
     layer_index: int = 1,
-    current_lambda: float | None = None,
+    current_lambda: float = LassoConfig.lambda0,
     records: list[IterationRecord] | None = None,
     kept: tuple[LayerParams, ...] = (),
 ) -> LayerResult:
     """Grow one hidden layer on the given inputs, tracking validation error
     for early stopping, then roll back to the width with the best validation
-    error. Validation only decides where growth stops and which width is
+    error. The penalty schedule starts at ``current_lambda``: LassoConfig's
+    lambda0 for the first layer, where the layer below left it for a deeper
+    one. Validation only decides where growth stops and which width is
     kept, never which unit comes next. A record's nnz is counted from the
     layer's arrays: the frozen layers ``kept`` below this one, counted once,
     plus the grown units and their output head. Grown units never change, so
@@ -364,8 +367,7 @@ def build_layer(
     built once, after growth, from the units up to the kept width."""
     if features.shape[0] < 2:
         raise TrainingAbort("need at least 2 training rows to place a hyperplane")
-    state = LayerState(features, targets, val_features, val_targets, cfg.lasso,
-                       cfg.lasso.lambda0 if current_lambda is None else current_lambda,
+    state = LayerState(features, targets, val_features, val_targets, current_lambda,
                        cfg.max_neurons_per_layer)
     frozen_nnz = count_nonzero(*(a for layer in kept for a in (layer.weights, layer.biases)))
 
@@ -424,7 +426,7 @@ def build_network(
     report = TrainReport()
     train_x, val_x = dataset.features, val_data.features
 
-    current_lambda = cfg.lasso.lambda0
+    current_lambda = LassoConfig.lambda0
     incumbent: LayerResult | None = None
     for depth in range(1, cfg.max_hidden_layers + 1):
         result = build_layer(
@@ -447,16 +449,13 @@ def build_network(
         train_x, val_x = (np.array(s.T, dtype=float, order="C") for s in result.sides)
 
     model = incumbent.network
-
-    report.architecture = model.architecture()
-    report.final_train_mse, report.final_val_mse = (
+    train_mse, val_mse = (
         squared_error_sums(forward(model, data.features), data.labels)[0] / data.m
         for data in (dataset, val_data)
     )
     # The kept record's layer, t and nnz describe the returned model as they stand.
     report.records.append(replace(
-        incumbent.record, train_mse=report.final_train_mse, val_mse=report.final_val_mse,
-        drop=0.0, predicted_drop=0.0, refit_gain=0.0, lambda_used=current_lambda,
-        side_imbalance=0.0,
+        incumbent.record, train_mse=train_mse, val_mse=val_mse, drop=0.0, predicted_drop=0.0,
+        refit_gain=0.0, lambda_used=current_lambda, side_imbalance=0.0,
     ))
     return model, report

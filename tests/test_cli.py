@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import bannet
-from bannet import LassoConfig, SplitSpec, TrainConfig, forward, load_model, mse
+from bannet import SplitSpec, TrainConfig, forward, load_model, mse
 from bannet.cli import RunManifest, build_parser, load_manifest, main
 from bannet.data import load_csv
 from bannet.model import SIGN, BannModel, LayerParams, save_model
@@ -135,6 +137,27 @@ def test_manifest_rerun_reproduces_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_unit_cap_far_above_the_rows_trains_as_a_reachable_one(tmp_path):
+    # [1; S] has at most as many independent columns as training rows, so a
+    # layer's stores hold min(cap, rows) units however large the cap. On these
+    # 40 rows the first layer fills its 24 training rows with 23 units and
+    # ends on a try that the span rule refuses, under either cap.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 3))
+    y = x[:, 0] + 0.1 * rng.normal(size=40)
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.column_stack([x, y]), fmt="%.17g", delimiter=",",
+               header="x0,x1,x2,y", comments="")
+    outs = [tmp_path / cap for cap in ("500", "10000000")]
+    for out in outs:
+        assert main(["train", "--data", str(data), "--labels", "1",
+                     "--max-neurons", out.name, "--out", str(out)]) == 0
+    for name in ("model.json", "report.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    rows = list(csv.DictReader(io.StringIO((outs[0] / "report.csv").read_text())))
+    assert max(int(r["t"]) for r in rows if r["layer"] == "1") == 23
+
+
 def test_manifest_of_default_run_rebuilds_default_configs(tmp_path):
     data = tmp_path / "d.csv"
     write_dataset(data, m=40)
@@ -144,7 +167,6 @@ def test_manifest_of_default_run_rebuilds_default_configs(tmp_path):
     assert doc == asdict(RunManifest(str(data), "1", out_dir=str(out)))
     manifest = load_manifest(str(out / "manifest.json"))
     assert manifest.train_config() == TrainConfig()
-    assert manifest.train_config().lasso == LassoConfig()
     assert manifest.split_spec() == SplitSpec()
 
 
@@ -293,7 +315,7 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 @pytest.mark.parametrize("source,field,value", [
-    ("flag", "lambda0", "0"),
+    ("flag", "lambda0", "1e5"),
     ("flag", "lambda0", "nan"),
     ("flag", "lambda0", "inf"),
     ("manifest", "lambda0", math.inf),
@@ -303,7 +325,9 @@ def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
         "flag-seed-negative", "manifest-seed-negative"])
 def test_bad_lasso_setting_is_config_error(tmp_path, source, field, value):
     # Flags and manifest fields, NaN and Infinity included (JSON carries
-    # both), reach the configs before any training.
+    # both), reach the configs before any training. The penalty schedule's
+    # start is a constant: --lambda0, its old default included, is a usage
+    # error, and a manifest that records it was written by bannet 0.4.0.
     data = tmp_path / "d.csv"
     write_dataset(data)
     out = tmp_path / "run"
@@ -311,14 +335,18 @@ def test_bad_lasso_setting_is_config_error(tmp_path, source, field, value):
         argv = ["train", "--data", str(data), "--labels", "1",
                 "--" + field.replace("_", "-"), value, "--out", str(out)]
     else:
+        doc = {"dataset": str(data), "labels": "1", field: value, "out_dir": str(out)}
+        if field == "lambda0":
+            doc["software_version"] = "0.4.0"
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(
-            {"dataset": str(data), "labels": "1", field: value, "out_dir": str(out)}
-        ), encoding="utf-8")
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["train", "--from-manifest", str(manifest)]
     proc = run_cli_process(argv)
     assert proc.returncode == 3
-    assert proc.stderr.startswith("config error:")
+    if (source, field) == ("flag", "lambda0"):
+        assert proc.stderr.endswith(f"error: unrecognized arguments: --lambda0 {value}\n")
+    else:
+        assert proc.stderr.startswith("config error:")
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -352,7 +380,7 @@ def test_unwritable_output_is_data_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("lambda0", "1e5"),
+    ("test_fraction", "0.25"),
     ("max_layers", 2.5),
     ("patience", True),
     ("software_version", 1),
@@ -398,11 +426,13 @@ def test_manifest_with_unknown_field_is_data_error(tmp_path):
     write_dataset(data, m=40)
     out = tmp_path / "run"
     manifest = tmp_path / "manifest.json"
+    # lambda0 is a field of 0.4.0 manifests and no setting of this version.
     manifest.write_text(json.dumps(dict(asdict(RunManifest(str(data), "1", out_dir=str(out))),
-                                        divisor=1.5)), encoding="utf-8")
+                                        divisor=1.5, lambda0=1e5)), encoding="utf-8")
     proc = run_cli_process(["train", "--from-manifest", str(manifest)])
     assert proc.returncode == 2
-    assert proc.stderr.startswith("data error:") and "'divisor'" in proc.stderr
+    assert proc.stderr.startswith("data error:")
+    assert "unknown fields: ['divisor', 'lambda0']" in proc.stderr
     assert not out.exists()
 
 

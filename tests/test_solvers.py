@@ -1,9 +1,9 @@
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from bannet.errors import ConfigError
 from bannet.solvers import LassoConfig, StandardizedDesign, _active_set_fit, scheduled_lasso_fit
 
 
@@ -261,5 +261,9 @@ def test_lasso_flags_non_convergence(monkeypatch):
 
 
 def test_problem_validation():
-    with pytest.raises(ConfigError):
-        LassoConfig(lambda0=0.0)
+    # The schedule's start is a constant beside its divisor; none is a setting.
+    assert dataclasses.fields(LassoConfig) == ()
+    assert LassoConfig.lambda0 == 1e5
+    for args, kwargs in [((1e5,), {}), ((), {"lambda0": 1e5})]:
+        with pytest.raises(TypeError):
+            LassoConfig(*args, **kwargs)

@@ -312,7 +312,7 @@ def test_compute_cd_matches_least_squares_oracle():
 
 def layer_state(features, targets, seed_lambda=1e5, max_units=10):
     """A LayerState that validates on its own training rows."""
-    return LayerState(features, targets, features, targets, LassoConfig(), seed_lambda, max_units)
+    return LayerState(features, targets, features, targets, seed_lambda, max_units)
 
 
 def test_fit_hyperplane_separates_constant_clusters():
@@ -672,7 +672,7 @@ def test_kept_refits_leave_state_consistent():
 
     rng = np.random.default_rng(0)
     (x, y), (val_x, val_y) = three_levels(rng, 60), three_levels(rng, 30)
-    state = LayerState(x, y, val_x, val_y, LassoConfig(), 1e5, 4)
+    state = LayerState(x, y, val_x, val_y, 1e5, 4)
     kept = 0
     for step in range(8):
         if step % 2:
@@ -835,11 +835,11 @@ def test_validation_rows_never_change_units_or_head(monkeypatch):
 
 
 def test_build_layer_refuses_a_zero_penalty():
-    # Only a missing penalty falls back to lambda0; an explicit 0 is refused.
+    # An omitted penalty starts at lambda0; an explicit 0 is refused.
     rng = np.random.default_rng(42)
     x, y = rng.normal(size=(30, 2)), rng.normal(size=(30, 1))
     cfg = TrainConfig(max_neurons_per_layer=3, max_hidden_layers=1, patience=3)
-    assert build_layer(x, y, x, y, cfg, current_lambda=None).width >= 1
+    assert build_layer(x, y, x, y, cfg).width >= 1
     with pytest.raises(ValueError, match="current_lambda must be positive"):
         build_layer(x, y, x, y, cfg, current_lambda=0.0)
 
@@ -895,8 +895,8 @@ def test_build_network_single_layer_shape():
     cfg = TrainConfig(max_neurons_per_layer=8, max_hidden_layers=1, patience=8)
     model, report = build_network(ds, cfg, val_data=ds)
     assert len(model.hidden) == 1
-    assert report.architecture == model.architecture()
-    assert report.architecture[0] == 2 and report.architecture[-1] == 1
+    assert model.architecture()[0] == 2 and model.architecture()[-1] == 1
+    assert report.records[-1].t == model.hidden[0].width  # the final record restates it
 
 
 def test_build_network_deep_patterns_shrink():
@@ -965,9 +965,9 @@ def test_build_network_deterministic_and_consistent():
     for la, lb in zip(list(model_a.hidden) + [model_a.output], list(model_b.hidden) + [model_b.output]):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.biases, lb.biases)
-    assert report_a.final_train_mse == report_b.final_train_mse
-    # the reported final training error is the returned model's actual error
-    assert mse(model_a, ds) == pytest.approx(report_a.final_train_mse, rel=1e-12)
+    assert report_a.records == report_b.records
+    # the final record's training error is the returned model's actual error
+    assert mse(model_a, ds) == pytest.approx(report_a.records[-1].train_mse, rel=1e-12)
 
 
 def test_train_config_validation():
@@ -996,11 +996,11 @@ def test_report_nnz_counts_kept_layers_and_grown_units():
     assert {r.layer for r in growth} == {1, 2}
     kept: tuple = ()
     features = train.features
-    lam = cfg.lasso.lambda0
+    lam = LassoConfig.lambda0
     scored = None
     for layer in (1, 2):
         rows = [r for r in growth if r.layer == layer]
-        state = LayerState(features, train.labels, features, train.labels, cfg.lasso, lam,
+        state = LayerState(features, train.labels, features, train.labels, lam,
                            cfg.max_neurons_per_layer)
         for r in rows:
             state.add_neuron()
